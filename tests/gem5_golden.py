@@ -12,7 +12,49 @@ import os
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 _golden = None
+_matrix = None
 _traces = None
+
+
+def _cell(preset, workload, mode, **overrides):
+    return (preset, overrides, workload, mode == "warm")
+
+
+#: The cycle-tier sensitivity cells pinned by ``cycle_matrix.json``:
+#: cell id -> (config preset, preset overrides, workload, warm).  Each
+#: runs on the :func:`gem5_traces` grid and covers machinery the
+#: gem5-baseline seed fixtures do not: the L3 + LTAGE host, every
+#: registered branch predictor, heavy L2 interference, and the
+#: frequency-scaled ITLB penalty.
+CYCLE_CELLS = {
+    **{f"host_i9-{w}-{m}": _cell("host_i9", w, m)
+       for w in ("ar", "ma") for m in ("warm", "cold")},
+    **{f"bp_{bp}-{w}-warm": _cell("gem5_baseline", w, "warm",
+                                  branch_predictor=bp)
+       for bp in ("local", "perceptron", "tournament", "ltage")
+       for w in ("ar", "tu")},
+    "l2_interference_7-tu-warm": _cell("gem5_baseline", "tu", "warm",
+                                       l2_interference_period=7),
+    **{f"freq_{f}-ar-warm": _cell("gem5_baseline", "ar", "warm",
+                                  freq_ghz=f)
+       for f in (2.0, 4.0)},
+}
+
+
+def cell_config(cell):
+    """The ``CoreConfig`` of a :data:`CYCLE_CELLS` entry."""
+    from repro import uarch
+
+    preset, overrides, _, _ = CYCLE_CELLS[cell]
+    return getattr(uarch, preset)(**overrides)
+
+
+def _int_clockticks(stats):
+    # JSON round-trips func_clockticks keys as strings.
+    stats["func_clockticks"] = {
+        int(k): v for k, v in stats["func_clockticks"].items()
+    }
+    return stats
 
 
 def gem5_golden():
@@ -21,14 +63,23 @@ def gem5_golden():
     if _golden is None:
         with open(os.path.join(GOLDEN_DIR, "gem5_simstats.json")) as fh:
             fixtures = json.load(fh)
-        # JSON round-trips func_clockticks keys as strings.
         for fx in fixtures.values():
             for mode in fx.values():
-                mode["func_clockticks"] = {
-                    int(k): v for k, v in mode["func_clockticks"].items()
-                }
+                _int_clockticks(mode)
         _golden = fixtures
     return _golden
+
+
+def cycle_matrix():
+    """Committed cycle-tier SimStats per :data:`CYCLE_CELLS` entry."""
+    global _matrix
+    if _matrix is None:
+        with open(os.path.join(GOLDEN_DIR, "cycle_matrix.json")) as fh:
+            fixtures = json.load(fh)
+        fixtures.pop("comment")
+        _matrix = {cell: _int_clockticks(st)
+                   for cell, st in fixtures.items()}
+    return _matrix
 
 
 def gem5_traces():

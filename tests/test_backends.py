@@ -3,7 +3,8 @@
 Every registered backend must produce bit-identical ``SimStats`` — the
 contract that keeps ``REPRO_CYCLE_BACKEND`` out of the result-store
 key.  The matrix pins each backend against the committed seed golden
-fixtures (six gem5 workloads, warm and cold) and against the reference
+fixtures (six gem5 workloads, warm and cold), against the committed
+sensitivity cells (``cycle_matrix.json``) and against the reference
 on the host-i9 L3/LTAGE config; backends that cannot represent a run
 (no streams, custom observers, missing toolchain) must route to
 ``python`` with a one-line warning rather than diverge.
@@ -11,7 +12,8 @@ on the host-i9 L3/LTAGE config; backends that cannot represent a run
 
 import pytest
 
-from gem5_golden import gem5_golden, gem5_traces
+from gem5_golden import (CYCLE_CELLS, cell_config, cycle_matrix,
+                         gem5_golden, gem5_traces)
 from repro.engine.jobs import JobSpec
 from repro.uarch import CycleCore, gem5_baseline, host_i9, simulate
 from repro.uarch.core import backends as cycle_backends
@@ -41,6 +43,26 @@ def test_backend_matches_seed_golden(backend, workload, mode):
     want = gem5_golden()[workload][mode]
     mismatched = [k for k in want if got[k] != want[k]]
     assert got == want, f"{backend}/{workload}/{mode} diverges in {mismatched}"
+
+
+@pytest.mark.parametrize("cell", tuple(CYCLE_CELLS))
+@pytest.mark.parametrize("backend", ("python", "native"))
+def test_backend_matches_cycle_matrix(backend, cell):
+    # The sensitivity cells the seed fixtures leave out: L3 + LTAGE,
+    # every registered predictor, L2 interference, frequency scaling.
+    _require(backend)
+    _, _, workload, warm = CYCLE_CELLS[cell]
+    core = CycleCore(gem5_traces()[workload], cell_config(cell), warm=warm,
+                     backend=backend)
+    assert core.backend == backend
+    got = core.run().as_dict()
+    want = cycle_matrix()[cell]
+    mismatched = [k for k in want if got[k] != want[k]]
+    assert got == want, f"{backend}/{cell} diverges in {mismatched}"
+
+
+def test_cycle_matrix_covers_every_cell():
+    assert set(cycle_matrix()) == set(CYCLE_CELLS)
 
 
 @pytest.mark.parametrize("backend", ("numpy", "native"))
