@@ -14,9 +14,9 @@ mentions must be a key there *and* appear in the README env table;
 a name in neither is a dead or undocumented knob and fails
 ``repro lint``.
 
-``REPRO_CYCLE_BACKEND`` never changes results or store keys: every
-backend is bit-identical on the configurations it accepts, and a
-config a backend cannot represent exactly routes to ``python`` with a
+``REPRO_CYCLE_BACKEND`` never changes results or store keys: both
+backends are bit-identical on the runs they accept, and a run the
+compiled kernel cannot represent exactly routes to ``python`` with a
 one-line warning (see :mod:`repro.uarch.core.backends`).
 """
 
@@ -54,9 +54,8 @@ KNOBS = {
                     "no faults",
     "REPRO_TELEMETRY": "spans/metrics switch; fallback on",
     "REPRO_TELEMETRY_DIR": "run-journal directory; fallback no journals",
-    "REPRO_CYCLE_BACKEND": "cycle-tier execution backend (python, numpy, "
+    "REPRO_CYCLE_BACKEND": "cycle-tier execution backend (python, "
                            "native); fallback python",
-    "REPRO_STREAMS": "front-end stream precompute switch; fallback on",
     "REPRO_NATIVE_CACHE_DIR": "compiled-kernel .so cache; fallback "
                               "per-user temp dir",
 }

@@ -59,6 +59,5 @@ METRIC_NAMES = (
     "repro_server_bytes_total",
     "repro_server_requests_total",
     "repro_span_seconds",
-    "repro_stream_fallbacks_total",
     "repro_trace_store_events_total",
 )

@@ -1,13 +1,13 @@
-"""Staged out-of-order core model with selectable fidelity tiers.
+"""Out-of-order core model with selectable fidelity tiers.
 
 Two tiers share one entry point:
 
-* ``model="cycle"`` — the cycle-accurate staged pipeline
-  (:class:`CycleCore`): explicit :class:`FrontEnd`, :class:`Dispatch`,
-  :class:`IssueQueue`, :class:`Commit` components over a shared
-  :class:`CoreState`, with TMA slot accounting and hotspot sampling as
-  pluggable :class:`Observer` instances.  Bit-identical to the
-  pre-split monolithic simulator.
+* ``model="cycle"`` — the cycle-accurate pipeline (:class:`CycleCore`):
+  commit, issue, dispatch and fetch stepped each cycle over a shared
+  :class:`CoreState` by an execution backend — the reference Python
+  loop or its compiled C transcription (:mod:`.backends`) — with TMA
+  slot accounting and hotspot sampling as pluggable :class:`Observer`
+  instances.  Bit-identical to the pre-split monolithic simulator.
 * ``model="interval"`` — a vectorized interval model
   (:func:`simulate_interval`): batched cache/TLB/branch estimation
   over NumPy arrays plus an analytical cycle estimate.  Roughly an
@@ -17,29 +17,20 @@ Two tiers share one entry point:
 
 from __future__ import annotations
 
-from .commit import Commit
 from .cycle import CycleCore
-from .dispatch import Dispatch
-from .frontend import FrontEnd
 from .interval import (INTERVAL_SCAN_MARGIN, INTERVAL_VERSION,
                        simulate_interval)
-from .issue import IssueQueue
 from .observers import HotspotSampler, Observer, TMASlotClassifier
-from .state import CoreState, functional_warmup
+from .state import CoreState
 
 __all__ = [
-    "Commit",
     "CoreState",
     "CycleCore",
-    "Dispatch",
-    "FrontEnd",
     "HotspotSampler",
-    "IssueQueue",
     "MODELS",
     "Observer",
     "TIER_LADDER",
     "TMASlotClassifier",
-    "functional_warmup",
     "refine_tier",
     "scan_margin",
     "scan_tier",
@@ -84,13 +75,13 @@ def simulate(trace, config, max_cycles=None, warm=True, model="cycle",
     """Run ``trace`` through a core configured by ``config``.
 
     ``model`` selects the fidelity tier: ``"cycle"`` (default) steps
-    the staged pipeline cycle by cycle; ``"interval"`` runs the
+    the pipeline cycle by cycle; ``"interval"`` runs the
     vectorized analytical model (``max_cycles`` and ``observers`` do
     not apply).  ``warm=True`` performs a functional warmup pass first
     so counters reflect steady-state behavior rather than cold-start
     compulsory misses.  ``backend`` picks the cycle-loop execution
-    backend (default: ``REPRO_CYCLE_BACKEND``, then ``python``); every
-    backend is bit-identical, so results are backend-independent.
+    backend (default: ``REPRO_CYCLE_BACKEND``, then ``python``); both
+    backends are bit-identical, so results are backend-independent.
     Returns a fully populated :class:`~repro.uarch.stats.SimStats`.
     """
     from ... import telemetry

@@ -1,27 +1,22 @@
 """Selectable cycle-tier execution backends.
 
-The cycle tier's per-op state transition can run under more than one
-implementation.  ``python`` is the golden reference — the fused stream
-loop (and its per-op sibling) whose outputs are pinned bit-for-bit by
-the committed golden fixtures.  ``numpy`` reformulates the same
-transition as a batched event-queue pass: the precomputed front-end
-streams are segmented into runs between serializing events (L2-and-
-below misses, mispredict redirects, structural stalls), each fully-
-stalled run is advanced with closed-form arithmetic instead of
-cycle-by-cycle interpretation, and the scalar transition executes only
-at event boundaries.  ``native`` is a straight C transcription of the
-fused loop, compiled on demand with the system C compiler into a
+The cycle tier's per-op state transition runs under one of two
+implementations.  ``python`` is the golden reference — the fused
+stream loop whose outputs are pinned bit-for-bit by the committed
+golden fixtures.  ``native`` is a straight C transcription of that
+loop, compiled on demand with the system C compiler into a
 content-addressed shared object and driven through ``ctypes``; the
 D-side hierarchy stays in Python behind two callbacks, so the memory
 model is bit-exact by construction.
 
 Selection is environment-driven (``REPRO_CYCLE_BACKEND``) or explicit
 (``CycleCore(..., backend=...)``, ``simulate(..., backend=...)``,
-``repro ... --cycle-backend``).  Because every backend is bit-identical
-on the configurations it accepts, the backend is **not** part of the
-result-store key: a config a backend cannot represent exactly routes
-to ``python`` with a one-line warning instead of producing different
-bits under the same key.
+``repro ... --cycle-backend``).  Because both backends are
+bit-identical on the runs they accept, the backend is **not** part of
+the result-store key: a run the kernel cannot represent exactly
+(custom observers, missing toolchain) routes to ``python`` with a
+one-line warning instead of producing different bits under the same
+key.
 """
 
 from __future__ import annotations
@@ -79,14 +74,14 @@ def backend_from_env():
     return raw
 
 
-def select_backend(requested, streams, default_observers):
+def select_backend(requested, default_observers):
     """Resolve *requested* against what the run can represent exactly.
 
     Returns ``(backend, effective_name, fallback_reason)``.  A backend
-    that cannot reproduce this (streams, observers) combination
-    bit-exactly routes to ``python`` — with a one-line warning naming
-    the reason — because bit-exactness, not speed, is the contract
-    that keeps the backend out of the result-store key.
+    that cannot reproduce this observer set bit-exactly routes to
+    ``python`` — with a one-line warning naming the reason — because
+    bit-exactness, not speed, is the contract that keeps the backend
+    out of the result-store key.
     """
     backend = get_backend(requested)
     if not backend.available():
@@ -94,8 +89,7 @@ def select_backend(requested, streams, default_observers):
         warn_once(("backend", requested, "unavailable"),
                   f"{reason}; falling back to python")
         return _REGISTRY[DEFAULT_BACKEND], DEFAULT_BACKEND, reason
-    ok, reason = backend.supports(streams=streams,
-                                  default_observers=default_observers)
+    ok, reason = backend.supports(default_observers)
     if ok:
         return backend, requested, None
     warn_once(("backend", requested, reason),
@@ -104,29 +98,19 @@ def select_backend(requested, streams, default_observers):
     return _REGISTRY[DEFAULT_BACKEND], DEFAULT_BACKEND, reason
 
 
-BACKEND_NAMES = ("python", "numpy", "native")
-
-# Fastest-first preference order used by best_backend(); correctness is
-# identical everywhere, so "best" is purely a speed ranking.
-_PREFERENCE = ("native", "numpy", "python")
+BACKEND_NAMES = ("python", "native")
 
 
 def best_backend():
-    """The fastest backend available on this host (never None).
+    """``native`` when it is available on this host, else ``python``.
 
-    ``python`` is always registered and dependency-free, so this
-    degrades to the reference loop on hosts without numpy or a C
-    compiler.
+    Correctness is identical either way, so "best" is purely speed;
+    ``python`` is dependency-free, so this never returns None.
     """
-    for name in _PREFERENCE:
-        backend = _REGISTRY.get(name)
-        if backend is not None and backend.available():
-            return name
-    return DEFAULT_BACKEND
+    return "native" if _REGISTRY["native"].available() else DEFAULT_BACKEND
 
 
 # Import order matters only for registration; python is the reference
 # and the fallback, so it registers first.
 from . import python_ref  # noqa: E402,F401
-from . import numpy_ev  # noqa: E402,F401
 from . import native  # noqa: E402,F401

@@ -1,12 +1,14 @@
 """The ``native`` cycle backend: the fused loop compiled as C.
 
 ``_cycle_kernel.c`` is a line-for-line transcription of the reference
-fused stream loop (``python_ref._run_fused``) over the contiguous-range
-state representation, with the default observers folded into counters
-exactly the way the ``numpy`` kernel folds them.  It is compiled on
-demand with whatever C compiler the host already has (``cc``/``gcc``/
-``clang`` — no build-time dependency) into a content-addressed shared
-object under a small on-disk cache, and loaded through :mod:`ctypes`.
+fused stream loop (``python_ref._run_fused``) over a contiguous-range
+state representation — the ROB is ``[committed, disp_next)`` and the
+fetch buffer ``[disp_next, fetch_idx)`` — with the default observers
+(TMA slot classification, hotspot clockticks) folded into plain
+counters.  It is compiled on demand with whatever C compiler the host
+already has (``cc``/``gcc``/``clang`` — no build-time dependency) into
+a content-addressed shared object under a small on-disk cache, and
+loaded through :mod:`ctypes`.
 
 The memory machinery stays in Python: the kernel calls back into the
 live :class:`~repro.uarch.hierarchy.MemoryHierarchy` for every
@@ -18,7 +20,8 @@ arithmetic (commit/issue/dispatch/fetch bookkeeping) crosses into C.
 
 Hosts without a working toolchain simply never have this backend
 available; selection falls back to ``python`` with a one-line warning
-(see :func:`..select_backend`).
+(see :func:`..select_backend`), as does a run with custom observers,
+which need the reference loop's per-cycle hook points.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from ctypes import c_longlong, c_void_p
 from ....env import env_dir
 from ....trace.ops import BRANCH, LOAD, PAUSE, STORE
 from ..state import KIND_KEY_LIST
-from .numpy_ev import _BLOCK_NAMES, _FS_NAMES
 
 try:
     import numpy as np
@@ -46,6 +48,11 @@ __all__ = ["NativeBackend"]
 
 _KERNEL_SRC = os.path.join(os.path.dirname(__file__), "_cycle_kernel.c")
 _NKINDS = len(KIND_KEY_LIST)
+
+# Kernel codes for the fetch-stall kind and the dispatch block reason;
+# index = code.
+_FS_NAMES = (None, "icache", "tlb")
+_BLOCK_NAMES = (None, "frontend", "serialize", "rob", "iq", "lq", "sq")
 
 # Params-array layout; must match the enum in _cycle_kernel.c.
 (P_N, P_LIMIT, P_WINDOW, P_WIDTH,
@@ -307,25 +314,15 @@ class NativeBackend:
         return _load_library() is not None
 
     @staticmethod
-    def supports(streams, default_observers):
-        if streams is None:
-            return False, "streams disabled or unavailable"
+    def supports(default_observers):
         if not default_observers:
             return False, "custom observers need per-cycle hook points"
         return True, None
 
     @staticmethod
     def run(s, dispatch_hooks, cycle_end_hooks):
-        lib = _load_library()
-        if lib is None or s.cycle or s.committed or s.fetch_idx \
-                or s.rob or s.fbuf or s.iq:
-            # Mid-flight state (hand-stepped core): the contiguous-
-            # range invariants may not hold; use the reference loop.
-            from .python_ref import _run_fused
-
-            _run_fused(s, dispatch_hooks, cycle_end_hooks)
-            return
-        _run_kernel(lib, s)
+        # Only selected once available(), so the library is loaded.
+        _run_kernel(_load_library(), s)
 
 
 from . import register  # noqa: E402

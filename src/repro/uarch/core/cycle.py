@@ -1,31 +1,20 @@
-"""The cycle-accurate tier: staged OoO core driver.
+"""The cycle-accurate tier: out-of-order core driver.
 
-``CycleCore`` wires the four pipeline stages around one
-:class:`~repro.uarch.core.state.CoreState` and hands the cycle loop to
-a selectable execution backend (:mod:`.backends`): ``python`` — the
-golden-reference fused loops — ``numpy`` — the batched event-queue
-kernel — or ``native`` — the on-demand-compiled C transcription of the
-fused loop.  Every backend steps the same state in the same
-retire-to-fetch order (commit, issue, dispatch, fetch) and is
-bit-identical to the pre-refactor ``pipeline.simulate`` — verified
-against committed golden fixtures for every gem5 workload — which is
-why the backend choice never appears in result-store keys.
-
-The staged classes (:class:`FrontEnd`, :class:`Dispatch`,
-:class:`IssueQueue`, :class:`Commit`) remain the canonical, readable
-implementations; ``tests/test_streams.py`` and
-``tests/test_backends.py`` pin every execution path against them.
+``CycleCore`` builds one :class:`~repro.uarch.core.state.CoreState`
+over the precomputed front-end streams (:mod:`.streams`) and hands the
+cycle loop to a selectable execution backend (:mod:`.backends`):
+``python`` — the golden-reference fused loop — or ``native`` — its
+on-demand-compiled C transcription.  Both step the same state in the
+same retire-to-fetch order (commit, issue, dispatch, fetch) and are
+bit-identical to the seed simulator — verified against committed
+golden fixtures for every gem5 workload and the sensitivity cells —
+which is why the backend choice never appears in result-store keys.
 """
 
 from __future__ import annotations
 
-from ... import telemetry
 from ..stats import SimStats
 from . import backends as cycle_backends
-from .commit import Commit
-from .dispatch import Dispatch
-from .frontend import FrontEnd, StreamFrontEnd
-from .issue import IssueQueue
 from .observers import HotspotSampler, TMASlotClassifier
 from .state import CoreState
 from .streams import get_streams
@@ -34,62 +23,38 @@ __all__ = ["CycleCore"]
 
 
 class CycleCore:
-    """A staged out-of-order core over one trace + config pair.
+    """An out-of-order core over one trace + config pair.
 
-    ``streams="auto"`` (the default) precomputes the timing-independent
-    I-side machinery outcomes once per (trace, I-side fingerprint) and
-    runs the stream-backed front end — bit-identical, roughly halving
-    the per-op machinery work.  Pass ``streams=False`` (or set
-    ``REPRO_STREAMS=0``) to force the reference per-op front end.
+    The timing-independent I-side machinery outcomes are precomputed
+    once per (trace, I-side fingerprint) by :func:`get_streams`; a
+    config that pass cannot handle (e.g. an unknown branch predictor)
+    raises from here.
 
     ``backend`` selects the cycle-loop implementation (default: the
-    ``REPRO_CYCLE_BACKEND`` environment knob, then ``python``).  A
-    backend that cannot represent this run bit-exactly — e.g. a
-    compiled kernel without streams or with custom observers — routes
-    to ``python`` with a one-line warning; ``self.backend`` names the
-    implementation that actually runs.
+    ``REPRO_CYCLE_BACKEND`` environment knob, then ``python``).  The
+    compiled kernel folds the default observers into counters, so a
+    run with custom observers routes to ``python`` with a one-line
+    warning; ``self.backend`` names the implementation that actually
+    runs.
     """
 
     def __init__(self, trace, config, max_cycles=None, warm=True,
-                 observers=None, streams="auto", backend=None):
+                 observers=None, backend=None):
         self.config = config
         self.stats = SimStats(config.name, config.freq_ghz)
         self.stats.instructions = len(trace)
         self.stats.dispatch_width = config.dispatch_width
-        if streams == "auto":
-            streams = None
-            if len(trace) > 0:
-                try:
-                    streams = get_streams(trace, config, warm=warm)
-                except Exception:
-                    # Machinery this pass cannot fingerprint (custom
-                    # cache/predictor variants): per-op fallback,
-                    # counted so a sweep that silently lost the
-                    # stream speedup is visible in /metrics.
-                    telemetry.counter(
-                        "repro_stream_fallbacks_total",
-                        help="Stream precompute failures that fell "
-                             "back to the per-op front end.").inc()
-                    streams = None
-        elif not streams:
-            streams = None
         if len(trace) == 0:
             self.state = None
         else:
             self.state = CoreState(trace, config, self.stats,
-                                   max_cycles=max_cycles, warm=warm,
-                                   streams=streams)
-        self.frontend = StreamFrontEnd() if streams is not None \
-            else FrontEnd()
-        self.dispatch = Dispatch()
-        self.issue = IssueQueue()
-        self.commit = Commit()
+                                   get_streams(trace, config, warm=warm),
+                                   max_cycles=max_cycles, warm=warm)
         self.observers = (list(observers) if observers is not None
                           else [TMASlotClassifier(), HotspotSampler()])
         requested = backend or cycle_backends.backend_from_env()
         self._backend, self.backend, self.backend_fallback = \
-            cycle_backends.select_backend(requested, streams,
-                                          observers is None)
+            cycle_backends.select_backend(requested, observers is None)
 
     def run(self):
         """Step the pipeline to completion; returns populated stats."""
@@ -114,21 +79,14 @@ class CycleCore:
         stats.committed_by_kind = dict(s.committed_by_kind)
         hier = s.hier
         streams = s.streams
-        if streams is not None:
-            # The run fetched the whole trace, so the precomputed
-            # machinery totals are exactly what the live objects would
-            # have counted.
-            stats.branches = streams.bp_lookups
-            stats.branch_mispredicts = streams.bp_mispredicts
-            l1i_counts = {"accesses": streams.l1i_accesses,
-                          "misses": streams.l1i_misses}
-        else:
-            stats.branches = s.bp.lookups
-            stats.branch_mispredicts = s.bp.mispredicts
-            l1i_counts = {"accesses": hier.l1i.accesses,
-                          "misses": hier.l1i.misses}
+        # The run fetched the whole trace, so the precomputed I-side
+        # totals are exactly what live ITLB/L1I/predictor objects would
+        # have counted.
+        stats.branches = streams.bp_lookups
+        stats.branch_mispredicts = streams.bp_mispredicts
         stats.cache = {
-            "l1i": l1i_counts,
+            "l1i": {"accesses": streams.l1i_accesses,
+                    "misses": streams.l1i_misses},
             "l1d": {"accesses": hier.l1d.accesses, "misses": hier.l1d.misses},
             "l2": {"accesses": hier.l2.accesses, "misses": hier.l2.misses},
         }

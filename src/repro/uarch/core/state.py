@@ -1,86 +1,31 @@
-"""Shared core state and the functional warmup pass.
+"""Shared core state of one cycle-tier simulation.
 
-``CoreState`` is the single mutable object the pipeline stages operate
-on: the decoded trace (plain Python lists — the cycle loop's hot path),
-the microarchitectural structures (ROB, IQ, fetch buffer, LSQ
-occupancy), the memory machinery (cache hierarchy, ITLB, branch
-predictor), and the per-cycle handoff fields each stage publishes for
-the next (``dispatched``, ``block_reason``, ``fetched``).
+``CoreState`` is the single mutable object a cycle backend steps: the
+decoded trace (plain Python lists — the cycle loop's hot path), the
+microarchitectural structures (ROB, IQ, fetch buffer, LSQ occupancy),
+the live memory hierarchy plus the precomputed front-end streams that
+stand in for the I-side machinery, and the per-cycle fields the loop
+publishes for observers (``dispatched``, ``block_reason``,
+``fetched``).
 
-Keeping every field on one ``__slots__`` object — rather than spread
-across stage instances — is what lets the staged simulator reproduce
-the monolithic loop bit for bit: stages read and write the same state
-in the same order the single function did.
+Keeping every field on one ``__slots__`` object is what lets a backend
+hand observers, and the caller after the run, exactly the state the
+reference loop leaves.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from ...trace.ops import (
-    BRANCH, FP_ADD, FP_DIV, FP_MUL, INT_ALU, LOAD, PAUSE, STORE,
-)
-from ..branch import make_predictor
+from ...trace.ops import BRANCH, FP_ADD, FP_DIV, FP_MUL, INT_ALU
 from ..hierarchy import MemoryHierarchy
-from ..tlb import TLB
 
 # Execution-unit class per kind code, indexable by the (dense, small)
 # kind constants — a C-speed list lookup on the issue/commit hot path.
 KIND_KEY_LIST = ["int", "fp", "fp", "fp", "load", "store", "branch",
                  "pause"]
 
-__all__ = ["CoreState", "KIND_KEYS", "KIND_KEY_LIST", "functional_warmup",
-           "make_machinery"]
-
-# Execution-unit class of each op kind (Fig. 7's stat buckets).
-KIND_KEYS = {
-    INT_ALU: "int",
-    FP_ADD: "fp",
-    FP_MUL: "fp",
-    FP_DIV: "fp",
-    LOAD: "load",
-    STORE: "store",
-    BRANCH: "branch",
-    PAUSE: "pause",
-}
-
-
-def make_machinery(config):
-    """Build the (hierarchy, itlb, predictor) triple for a config."""
-    hier = MemoryHierarchy(config)
-    itlb = TLB(config.itlb_entries,
-               max(int(round(config.itlb_miss_penalty_ns * config.freq_ghz)),
-                   1))
-    bp = make_predictor(config.branch_predictor)
-    return hier, itlb, bp
-
-
-def functional_warmup(trace, hier, itlb, bp):
-    """Warm caches, TLB, and branch predictor with one functional pass.
-
-    Trace-driven timing on short traces is otherwise dominated by
-    compulsory misses that a real profiling run (billions of
-    instructions) never sees.  Capacity and conflict behavior is
-    unaffected: the timed pass replays the same reference stream.
-    """
-    kinds = trace.kind.tolist()
-    addrs = trace.addr.tolist()
-    pcs = trace.pc.tolist()
-    takens = trace.taken.tolist()
-    last_line = -1
-    for i in range(len(kinds)):
-        k = kinds[i]
-        pc = pcs[i]
-        line = pc >> 6
-        if line != last_line:
-            itlb.access(pc)
-            hier.access_inst(pc)
-            last_line = line
-        if k == LOAD or k == STORE:
-            hier.access_data(addrs[i])
-        elif k == BRANCH:
-            bp.predict(pc)
-            bp.update(pc, bool(takens[i]))
+__all__ = ["CoreState", "KIND_KEY_LIST"]
 
 
 class CoreState:
@@ -88,36 +33,35 @@ class CoreState:
 
     __slots__ = (
         # decoded trace (lists: ~2x faster element access than ndarrays)
-        "n", "kinds", "addrs", "pcs", "takens", "dep1s", "dep2s", "funcs",
+        "n", "kinds", "addrs", "pcs", "dep1s", "dep2s", "funcs",
         # configuration and derived constants (hoisted off `config`:
         # per-op attribute chains are measurable at this loop's scale)
         "config", "lat_table", "l1d_hit_lat", "mshrs", "window", "width",
         "limit", "fbuf_cap", "rob_cap", "iq_cap", "lq_cap", "sq_cap",
         "fetch_width", "issue_width", "commit_width",
         "mispredict_penalty", "pause_latency", "itlb_penalty",
-        # memory machinery (itlb/bp are None under precomputed streams)
-        "hier", "itlb", "bp", "streams",
+        # live memory hierarchy + precomputed I-side outcomes
+        "hier", "streams",
         # microarchitectural structures
         "completion", "ready_after", "rob", "iq", "fbuf", "iq_branches",
         "fetch_idx", "committed", "lq_used", "sq_used", "cycle",
         "last_fetch_line", "fetch_stall_until", "fetch_stall_kind",
         "redirect_branch", "serialize_until", "outstanding_misses",
-        # per-cycle stage handoffs
+        # per-cycle fields published for observers
         "dispatched", "block_reason", "fetched",
-        # stage-owned counters
+        # per-kind issue/retire counters
         "issued_by_kind", "committed_by_kind",
-        # the stats object stages and observers write into
+        # the stats object the loop and observers write into
         "stats",
     )
 
-    def __init__(self, trace, config, stats, max_cycles=None, warm=True,
-                 streams=None):
+    def __init__(self, trace, config, stats, streams, max_cycles=None,
+                 warm=True):
         n = len(trace)
         self.n = n
         self.kinds = trace.kind.tolist()
         self.addrs = trace.addr.tolist()
         self.pcs = trace.pc.tolist()
-        self.takens = trace.taken.tolist()
         self.dep1s = trace.dep1.tolist()
         self.dep2s = trace.dep2.tolist()
         self.funcs = trace.func.tolist()
@@ -126,20 +70,12 @@ class CoreState:
         self.stats = stats
         self.streams = streams
 
-        if streams is None:
-            self.hier, self.itlb, self.bp = make_machinery(config)
-            if warm:
-                functional_warmup(trace, self.hier, self.itlb, self.bp)
-                self.reset_machinery_stats()
-        else:
-            # Stream-backed front end: L1I/ITLB/predictor outcomes are
-            # precomputed per-op, so only the shared hierarchy is live;
-            # warm state is restored from snapshots + an L2 replay.
-            self.hier = MemoryHierarchy(config)
-            self.itlb = None
-            self.bp = None
-            if warm:
-                streams.apply_warm(self.hier)
+        # L1I/ITLB/predictor outcomes are precomputed per op, so only
+        # the shared hierarchy is live; warm state is restored from
+        # snapshots + an L2 replay.
+        self.hier = MemoryHierarchy(config)
+        if warm:
+            streams.apply_warm(self.hier)
 
         self.rob_cap = config.rob_entries
         self.iq_cap = config.iq_entries
@@ -168,7 +104,7 @@ class CoreState:
         self.fbuf_cap = 8 * config.fetch_width  # decoupled front end
 
         self.completion = [-1] * n  # -1 = not issued yet
-        self.ready_after = [0] * n  # issue-scan skip bound (see issue.py)
+        self.ready_after = [0] * n  # issue-scan skip bound (see _run_fused)
         self.rob = deque()
         self.iq = []
         self.iq_branches = 0  # branches currently in the IQ
@@ -194,17 +130,3 @@ class CoreState:
                 "pause": 0}
         self.issued_by_kind = dict(zero)
         self.committed_by_kind = dict(zero)
-
-    def reset_machinery_stats(self):
-        """Zero the warmup pass out of every machinery counter."""
-        hier = self.hier
-        for cache in (hier.l1i, hier.l1d, hier.l2, hier.l3):
-            if cache is not None:
-                cache.reset_stats()
-        hier.dram_accesses = 0
-        hier.dram_bytes = 0
-        if self.itlb is not None:
-            self.itlb.reset_stats()
-        if self.bp is not None:
-            self.bp.lookups = 0
-            self.bp.mispredicts = 0

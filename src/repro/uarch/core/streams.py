@@ -13,25 +13,26 @@ fingerprint)`` and records, per op:
   next-line prefetcher will probe the shared L2,
 * whether the branch predictor disagrees with the recorded outcome.
 
-``StreamFrontEnd`` (:mod:`.frontend`) then consumes plain list lookups
-instead of calling into ``Cache``/``TLB``/predictor objects.  The one
-coupling that is *not* timing-independent — L1I misses spilling into
-the shared L2, whose state interleaves with D-side traffic — is kept
-live: the stream only decides *that* a miss happens; the L2-and-below
-walk still executes inside the fetch loop, at the same point the
-non-stream front end would issue it, so L2/L3 state stays bit-exact.
+The cycle loop's fetch stage (``backends.python_ref._run_fused`` and
+its C transcription) then consumes plain list lookups instead of
+calling into ``Cache``/``TLB``/predictor objects.  The one coupling
+that is *not* timing-independent — L1I misses spilling into the shared
+L2, whose state interleaves with D-side traffic — is kept live: the
+stream only decides *that* a miss happens; the L2-and-below walk still
+executes inside the fetch loop, at the point a live L1I lookup would
+miss, so L2/L3 state stays bit-exact.
 
-Functional warmup decomposes the same way: the warmed L1I/ITLB/branch
-state is I-side-only, the warmed L1D state is D-side-only (keyed by
-L1D geometry), and the shared L2/L3 see a deterministic merge of both
-sides' miss streams in program order.  ``apply_warm`` restores the
-snapshots and replays only the merged L2 events — thousands of
-accesses instead of a full per-op walk.
+Functional warmup (one in-order pass over the trace through the
+caches, ITLB and predictor) decomposes the same way: the warmed
+L1I/ITLB/branch state is I-side-only, the warmed L1D state is
+D-side-only (keyed by L1D geometry), and the shared L2/L3 see a
+deterministic merge of both sides' miss streams in program order.
+``apply_warm`` restores the snapshots and replays only the merged L2
+events — thousands of accesses instead of a full per-op walk.
 
 Streams attach to the (immutable) trace object, so every config in a
 sweep that shares I-side parameters — the entire ROB/IQ, width, L2 and
-frequency grids — reuses one precompute.  ``REPRO_STREAMS=0`` disables
-the whole mechanism, falling back to the per-op front end.
+frequency grids — reuses one precompute.
 
 When the trace came through the persistent trace store, the assembled
 streams are additionally persisted next to the trace ``.npz`` as a
@@ -49,27 +50,18 @@ import os
 
 import numpy as np
 
-from ...env import env_flag
 from ...trace.ops import BRANCH, LOAD, STORE
 from ...trace.store import STREAM_SUFFIX
 from ..branch import make_predictor
 from ..cache import Cache
 from ..tlb import TLB
 
-__all__ = ["FrontEndStreams", "STREAM_FORMAT_VERSION", "get_streams",
-           "streams_enabled"]
-
-STREAMS_ENV = "REPRO_STREAMS"
+__all__ = ["FrontEndStreams", "STREAM_FORMAT_VERSION", "get_streams"]
 
 # Bump whenever the on-disk sidecar layout or the *content* computed
 # for a given (trace, fingerprint) can change; old sidecars then miss
 # under the new name and are recomputed + rewritten.
 STREAM_FORMAT_VERSION = 1
-
-
-def streams_enabled():
-    """False when ``REPRO_STREAMS`` is set to 0/false/off."""
-    return env_flag(STREAMS_ENV, default=True)
 
 
 def _iside_key(config, warm):
@@ -93,9 +85,9 @@ class FrontEndStreams:
         "l1i_accesses", "l1i_misses", "bp_lookups", "bp_mispredicts",
         # warm-state restoration payload (None for cold runs)
         "warm", "l1d_sets", "l2_addrs", "l2_pfs",
-        # lazily-built kernel caches (backends/numpy_ev event tables,
-        # backends/native marshalled arrays), a per-backend dict cached
-        # here so every job sharing this fingerprint reuses one build
+        # lazily-built backend caches (backends/native marshalled
+        # arrays), a per-backend dict cached here so every job sharing
+        # this fingerprint reuses one build
         "kernel",
     )
 
@@ -105,7 +97,7 @@ class FrontEndStreams:
         Restores the precomputed L1D set contents, replays the merged
         I+D program-order miss stream through the live L2/L3 (the only
         levels whose state couples both sides), and zeroes the counters
-        — equivalent to ``functional_warmup`` + stat reset.
+        — equivalent to a full functional warmup pass + stat reset.
         """
         if not self.warm:
             return
@@ -163,8 +155,8 @@ def _compute_iside(trace, config, warm):
     The ITLB/L1I stream and the branch-predictor stream consume
     disjoint event sets of the program-order walk and share no state,
     so each walks only its own (precomputed) event indices instead of
-    every op — the exact per-event operation sequence of
-    ``functional_warmup`` and the per-op front end.
+    every op — the exact per-event operation sequence a per-op
+    functional warmup and fetch stage would perform.
     """
     pcs = trace.pc.tolist()
     takens = trace.taken.tolist()
@@ -180,7 +172,7 @@ def _compute_iside(trace, config, warm):
     warm_pf = []
 
     if warm:
-        # Mirrors functional_warmup's I-side exactly, recording every
+        # Mirrors the functional warmup's I-side exactly, recording every
         # L2 probe (prefetch installs and demand misses) with its
         # program position so it can be merged with the D-side stream.
         l1i_access = l1i.access
@@ -279,7 +271,7 @@ def _compute_dside(trace, config):
 def _merge_warm_events(iside_events, dside_events):
     """Merge I- and D-side warm L2 probes into program order.
 
-    ``functional_warmup`` performs, per op, the I-side access first
+    The functional warmup performs, per op, the I-side access first
     (prefetch probe before the demand probe) and the data access
     second, so at equal positions I-side events precede D-side ones.
     """
@@ -406,13 +398,11 @@ def _load_sidecar(trace, ikey, dkey):
 def get_streams(trace, config, warm=True):
     """The (cached) front-end streams for a trace/config pair.
 
-    Returns ``None`` when streams are disabled via ``REPRO_STREAMS`` —
-    callers then use the per-op front end.  Results are memoized on the
-    trace object: one I-side walk per distinct I-side fingerprint, one
-    D-side walk per L1D geometry, shared by every config in a sweep.
+    Results are memoized on the trace object: one I-side walk per
+    distinct I-side fingerprint, one D-side walk per L1D geometry,
+    shared by every config in a sweep.  Machinery the walk cannot
+    build (an unknown branch predictor) raises the registry's error.
     """
-    if not streams_enabled():
-        return None
     cache = getattr(trace, "_fe_streams", None)
     if cache is None:
         cache = {}

@@ -1,21 +1,16 @@
 """Compatibility shim for the pre-refactor monolithic simulator.
 
-The cycle-level model now lives in :mod:`repro.uarch.core` as explicit
-pipeline-stage components (``FrontEnd``, ``Dispatch``, ``IssueQueue``,
-``Commit``) over a shared ``CoreState``, with TMA slot accounting and
-hotspot sampling as pluggable observers, plus a vectorized interval
-tier.  This module keeps the old import paths working:
-
-* ``repro.uarch.pipeline.simulate`` — the tiered entry point
-  (``model="cycle"`` reproduces the old function bit for bit).
-* ``repro.uarch.pipeline._functional_warmup`` — the warmup pass, now
-  :func:`repro.uarch.core.state.functional_warmup`.
+The cycle-level model now lives in :mod:`repro.uarch.core` — one fused
+reference loop (plus its compiled transcription) over a shared
+``CoreState``, with TMA slot accounting and hotspot sampling as
+pluggable observers, plus a vectorized interval tier.  This module
+keeps the old ``repro.uarch.pipeline.simulate`` import path working:
+the tiered entry point, whose ``model="cycle"`` reproduces the old
+function bit for bit.
 """
 
 from __future__ import annotations
 
 from .core import simulate
-from .core.state import KIND_KEYS as _KIND_KEYS
-from .core.state import functional_warmup as _functional_warmup
 
 __all__ = ["simulate"]

@@ -3,11 +3,11 @@
 Every registered backend must produce bit-identical ``SimStats`` — the
 contract that keeps ``REPRO_CYCLE_BACKEND`` out of the result-store
 key.  The matrix pins each backend against the committed seed golden
-fixtures (six gem5 workloads, warm and cold), against the committed
-sensitivity cells (``cycle_matrix.json``) and against the reference
-on the host-i9 L3/LTAGE config; backends that cannot represent a run
-(no streams, custom observers, missing toolchain) must route to
-``python`` with a one-line warning rather than diverge.
+fixtures (six gem5 workloads, warm and cold) and against the committed
+sensitivity cells (``cycle_matrix.json``: L3 + LTAGE, every branch
+predictor, L2 interference, frequency scaling); a run the compiled
+kernel cannot represent (custom observers, missing toolchain) must
+route to ``python`` with a one-line warning rather than diverge.
 """
 
 import pytest
@@ -15,7 +15,7 @@ import pytest
 from gem5_golden import (CYCLE_CELLS, cell_config, cycle_matrix,
                          gem5_golden, gem5_traces)
 from repro.engine.jobs import JobSpec
-from repro.uarch import CycleCore, gem5_baseline, host_i9, simulate
+from repro.uarch import CycleCore, gem5_baseline, simulate
 from repro.uarch.core import backends as cycle_backends
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -46,7 +46,7 @@ def test_backend_matches_seed_golden(backend, workload, mode):
 
 
 @pytest.mark.parametrize("cell", tuple(CYCLE_CELLS))
-@pytest.mark.parametrize("backend", ("python", "native"))
+@pytest.mark.parametrize("backend", cycle_backends.BACKEND_NAMES)
 def test_backend_matches_cycle_matrix(backend, cell):
     # The sensitivity cells the seed fixtures leave out: L3 + LTAGE,
     # every registered predictor, L2 interference, frequency scaling.
@@ -65,40 +65,12 @@ def test_cycle_matrix_covers_every_cell():
     assert set(cycle_matrix()) == set(CYCLE_CELLS)
 
 
-@pytest.mark.parametrize("backend", ("numpy", "native"))
-@pytest.mark.parametrize("workload", ("ar", "ma"))
-@pytest.mark.parametrize("warm", (True, False))
-def test_backend_matches_reference_on_host_i9(backend, workload, warm):
-    # L3 present, LTAGE predictor: the deepest machinery the callback/
-    # stream boundary must keep bit-exact.
-    _require(backend)
-    trace = gem5_traces()[workload]
-    ref = simulate(trace, host_i9(), warm=warm, backend="python").as_dict()
-    got = simulate(trace, host_i9(), warm=warm, backend=backend).as_dict()
-    diffs = [k for k in ref if got[k] != ref[k]]
-    assert got == ref, f"{backend} diverges on host-i9 in {diffs}"
-
-
-@pytest.mark.parametrize("backend", ("numpy", "native"))
-def test_non_stream_run_falls_back_bit_exactly(backend, monkeypatch):
-    # REPRO_STREAMS=0 removes the representation the compiled kernels
-    # need; the run must still match golden, via the python fallback.
-    _require(backend)
-    monkeypatch.setenv("REPRO_STREAMS", "0")
-    trace = gem5_traces()["ar"]
-    core = CycleCore(trace, gem5_baseline(), backend=backend)
-    assert core.backend == "python"
-    assert core.backend_fallback is not None
-    got = core.run().as_dict()
-    assert got == gem5_golden()["ar"]["warm"]
-
-
 # ----------------------------------------------------------------------
 # Capability fallback
 # ----------------------------------------------------------------------
 class TestFallback:
     def test_custom_observers_route_to_python(self):
-        _require("numpy")
+        _require("native")
         from repro.uarch.core.observers import Observer
 
         class Probe(Observer):
@@ -107,24 +79,23 @@ class TestFallback:
 
         trace = gem5_traces()["ar"]
         core = CycleCore(trace, gem5_baseline(), observers=[Probe()],
-                         backend="numpy")
+                         backend="native")
         assert core.backend == "python"
         assert "observers" in core.backend_fallback
 
     def test_fallback_warns_once(self, monkeypatch, capsys):
-        _require("numpy")
+        _require("native")
         from repro import env as env_mod
 
         monkeypatch.setattr(env_mod, "_WARNED", set())
         _, name, reason = cycle_backends.select_backend(
-            "numpy", streams=None, default_observers=True)
+            "native", default_observers=False)
         assert name == "python"
         assert reason is not None
         err = capsys.readouterr().err
         assert "falling back to python" in err
         # Same condition again: warn_once stays quiet.
-        cycle_backends.select_backend("numpy", streams=None,
-                                      default_observers=True)
+        cycle_backends.select_backend("native", default_observers=False)
         assert "falling back" not in capsys.readouterr().err
 
     def test_invalid_env_value_uses_default(self, monkeypatch):
@@ -145,11 +116,11 @@ class TestFallback:
 # ----------------------------------------------------------------------
 class TestSelection:
     def test_env_knob_selects_backend(self, monkeypatch):
-        _require("numpy")
-        monkeypatch.setenv(cycle_backends.BACKEND_ENV, "numpy")
+        _require("native")
+        monkeypatch.setenv(cycle_backends.BACKEND_ENV, "native")
         trace = gem5_traces()["ar"]
         core = CycleCore(trace, gem5_baseline())
-        assert core.backend == "numpy"
+        assert core.backend == "native"
 
     def test_python_always_available(self):
         assert "python" in cycle_backends.available_backends()
@@ -157,6 +128,8 @@ class TestSelection:
     def test_best_backend_is_available(self):
         best = cycle_backends.best_backend()
         assert best in cycle_backends.available_backends()
+        native_ok = cycle_backends.get_backend("native").available()
+        assert best == ("native" if native_ok else "python")
 
     def test_backend_never_in_store_key(self, monkeypatch):
         monkeypatch.delenv(cycle_backends.BACKEND_ENV, raising=False)

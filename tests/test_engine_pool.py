@@ -155,3 +155,24 @@ def test_capped_store_has_no_dangling_entries_after_parallel_run(tmp_path):
     for key, entry in manifest["entries"].items():
         path = tmp_path / entry.get("file", key + ".json")
         assert os.path.exists(path), f"dangling manifest entry {key}"
+
+
+def test_serial_run_raises_unknown_predictor(tmp_path, monkeypatch):
+    # A config the cycle tier cannot build is a caller error: at
+    # workers=1 it raises through on the first attempt instead of
+    # being retried or quarantined.
+    import repro.core.runner as runner_mod
+
+    calls = []
+    real_simulate = runner_mod.simulate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "simulate", spy)
+    jobs = [JobSpec("ar", gem5_baseline(branch_predictor="oracle"),
+                    label="oracle", **_FAST)]
+    with pytest.raises(KeyError, match="unknown branch predictor"):
+        run_jobs(jobs, workers=1, runner=Runner(cache_dir=tmp_path))
+    assert len(calls) == 1

@@ -175,9 +175,16 @@ class TestIntervalStats:
         assert slow.cycles > fast.cycles
 
     def test_unknown_predictor_rejected(self):
-        with pytest.raises(KeyError):
-            simulate(_simple_trace(), gem5_baseline(
-                branch_predictor="oracle"), model="interval")
+        cfg = gem5_baseline(branch_predictor="oracle")
+        for model in ("interval", "cycle"):
+            with pytest.raises(KeyError,
+                               match="unknown branch predictor") as exc:
+                simulate(_simple_trace(), cfg, model=model)
+            if model == "cycle":
+                # Raised by the stream pass itself: no per-op fallback
+                # runs first.
+                assert any(entry.path.name == "streams.py"
+                           for entry in exc.traceback)
 
     def test_pause_serializes(self):
         from repro.trace import kernels as tk
