@@ -157,28 +157,32 @@ class Runner:
 
     def stats_for(self, workload, config, scale="default", budget=80_000,
                   model="cycle"):
-        """Simulate a workload under a config (disk-cached).
+        """Simulate a workload under a config (disk-cached): a
+        result-store hit, else :meth:`stats_for_job`.
 
         ``model`` selects the simulator fidelity tier; tiers cache
         under distinct keys.
         """
-        return self.stats_for_job(
-            JobSpec(workload, config, scale=scale, budget=budget,
-                    model=model))
-
-    def stats_for_job(self, job):
-        """Execute one :class:`~repro.engine.jobs.JobSpec` (disk-cached).
-
-        The engine's serial path and study execution hand their
-        already-built specs straight here instead of re-deriving one
-        from loose fields.
-        """
+        job = JobSpec(workload, config, scale=scale, budget=budget,
+                      model=model)
         if self.use_disk_cache:
             payload = self.store.get(job.key(), job.legacy_key())
             if payload is not None:
                 return SimStats.from_dict(payload)
+        return self.stats_for_job(job)
+
+    def stats_for_job(self, job, backend=None):
+        """Simulate one :class:`~repro.engine.jobs.JobSpec` and put its
+        result in the store (no lookup: callers resolve hits first).
+
+        The one simulate-and-persist step, shared by :meth:`stats_for`
+        and every engine job, in-process or in a pool worker.
+        ``backend`` overrides the cycle-tier execution backend (the
+        engine's degraded retries); backends are bit-identical, so the
+        result caches under the job's ordinary key.
+        """
         trace, _ = self.trace_for(job.workload, job.scale, job.budget)
-        stats = simulate(trace, job.config, model=job.model)
+        stats = simulate(trace, job.config, model=job.model, backend=backend)
         if self.use_disk_cache:
             # Deferred: payload file lands now; the manifest entry is
             # batched with the next flush (sweeps flush once per run).

@@ -1,26 +1,29 @@
-"""Parallel job execution with per-worker runners, supervised.
+"""Job execution: one dispatcher, in-process or over supervised workers.
 
-``run_jobs`` executes a list of :class:`~repro.engine.jobs.JobSpec`
-over a process pool.  Cache hits are served from the result store in
-the parent, so only misses are dispatched.
+``run_jobs`` executes a list of :class:`~repro.engine.jobs.JobSpec`.
+Cache hits are served from the result store in the parent up front,
+so only misses are dispatched, over ``n = min(workers, misses)``
+lanes.  Every attempt goes through one entry point (``_execute``:
+the ``worker.exec`` fault site, then ``Runner.stats_for_job``) and
+every failed attempt through one retry/quarantine decision
+(``_charge``).
 
-Traces are distributed zero-copy: before forking the pool, the parent
-builds or mmap-loads every distinct trace the pending jobs need into
-:data:`repro.core.runner.PREBUILT_TRACES`; forked workers inherit the
-set through copy-on-write pages (mmap-backed file pages when the trace
-came from the persistent store), so no worker ever re-synthesizes a
-trace the parent already has.  Cold traces are built through a
-temporary pool into the trace store first, keeping cold-start builds
-as parallel as the old per-worker scheme.  On spawn platforms the
-inherited set is empty and workers fall back to mmap loads from the
-store.
+With ``n > 1``, traces are distributed zero-copy: before dispatch the
+parent builds or mmap-loads every distinct trace the pending jobs
+need into :data:`repro.core.runner.PREBUILT_TRACES`; forked workers
+inherit the set through copy-on-write pages (mmap-backed file pages
+when the trace came from the persistent store), so no worker ever
+re-synthesizes a trace the parent already has.  Cold traces are
+built through a temporary pool into the trace store first, keeping
+cold-start builds parallel.  On spawn platforms the inherited set is
+empty and workers fall back to mmap loads from the store.
 
 Failure semantics (the coordinator dress rehearsal):
 
-* Every job runs in its **own supervised process** (at most ``n``
-  concurrent), so a dead worker (segfault, ``os._exit``, SIGKILL,
-  OOM) is attributed exactly: only the job whose process died is
-  charged an attempt — other in-flight jobs, each in their own
+* With ``n > 1`` every job runs in its **own supervised process** (at
+  most ``n`` concurrent), so a dead worker (segfault, ``os._exit``,
+  SIGKILL, OOM) is attributed exactly: only the job whose process died
+  is charged an attempt — other in-flight jobs, each in their own
   process, never even notice.  (A shared pool would break wholesale
   and charge every in-flight innocent, cascading one kill into many
   spurious quarantines.)
@@ -40,15 +43,17 @@ Failure semantics (the coordinator dress rehearsal):
   immediately — retrying cannot fix a caller bug.
 
 Results always come back in input-job order regardless of worker
-count.  ``workers=1`` — or a platform where a process pool cannot be
-created — takes the serial path, with the same retry/quarantine
-semantics applied in-process.
+count.  ``n == 1`` — and a platform that refuses to start processes —
+runs the misses in-process through the caller's runner, in input
+order: same retry, quarantine and fault sites, but no timeout, and
+fault death modes demoted to ``raise``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import sys
 import time
 from collections import deque
@@ -71,10 +76,6 @@ _POLL_SECONDS = 0.1
 # Deterministic caller bugs: raised through, never retried/quarantined
 # (the CLI turns them into its usual `error:` exits).
 _FATAL = (KeyError, ValueError)
-
-# Per-worker-process state, populated by the pool initializer: a
-# disk-cache-free Runner (trace memoization only) and a store handle.
-_STATE = {}
 
 _RETRIES_TOTAL = telemetry.counter(
     "repro_pool_retries_total",
@@ -131,73 +132,46 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _init_worker(store_root, in_worker=True):
+def _worker_runner(store_root):
+    """A pool worker's runner: trace memo plus the shared result store.
+
+    Workers never talk to the remote tier: they exit via os._exit
+    (stranding async push queues), and the parent already resolved
+    remote result hits and pulled remote traces into the local store
+    before dispatch.  The parent pushes worker results back as it
+    indexes them (ResultStore.index_deferred).
+    """
     from ..core.runner import Runner
     from ..trace.store import TraceStore, store_enabled
 
-    if in_worker:
-        # Ctrl-C is the parent's to handle; it terminates the pool.
-        try:
-            import signal
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-        except (ImportError, ValueError, OSError):
-            pass
-    # Workers never talk to the remote tier: they exit via os._exit
-    # (stranding async push queues), and the parent already resolved
-    # remote result hits and pulled remote traces into the local store
-    # before dispatch.  The parent pushes worker results back as it
-    # indexes them (ResultStore.index_deferred).
     tstore = TraceStore(create=False, remote=False) if store_enabled() \
         else False
-    _STATE["runner"] = Runner(use_disk_cache=False, trace_store=tstore)
-    _STATE["store"] = (ResultStore(store_root, remote=False)
-                       if store_root else None)
-    _STATE["in_worker"] = in_worker
+    store = ResultStore(store_root, remote=False) if store_root else None
+    return Runner(cache_dir=store_root, use_disk_cache=store is not None,
+                  store=store, trace_store=tstore)
 
 
-def _execute(job, attempt=0, backend=None):
-    """Trace (inherited/memoized), simulate, persist, return payload.
+def _execute(job, attempt, backend, runner, in_worker):
+    """One attempt of *job*: the ``worker.exec`` fault site, then
+    ``runner.stats_for_job`` (trace, simulate, deferred store put).
 
-    Returns ``(payload, span_tree)``.  The span tree — the job's phase
-    breakdown, recorded in whichever process ran the job — travels back
-    to the parent through the pool's ordinary results queue, which
-    works identically under fork and spawn start methods; the parent
-    merges it into the metrics registry and the run journal.
+    Returns ``(stats, span_tree)``.  The span tree — the job's phase
+    breakdown, recorded in whichever process ran the job — is a plain
+    dict, so it travels back from a worker over the result pipe under
+    fork and spawn alike; the parent merges it into the metrics
+    registry and the run journal.
 
     ``attempt`` feeds the chaos harness token (each retry of a job gets
     an independent fault draw); ``backend`` overrides the cycle-tier
-    execution backend on retries (graceful degradation to ``python``).
-
-    The store put defers its manifest entry: payload files land
-    immediately (atomic), the index entries reach the manifest in one
-    locked write when the batch drains — instead of one lock round-trip
-    per job.  A failed put (disk full) degrades to in-memory results
-    with a one-line warning instead of failing the job.
+    execution backend on retries (graceful degradation to ``python``);
+    ``in_worker=False`` demotes the fault site's death modes to
+    ``raise``.
     """
-    from ..uarch import simulate
-
     with telemetry.span("job", workload=job.workload, label=str(job.label),
                         model=job.model) as sp:
-        faults.worker_exec(f"{job.key()}:{attempt}",
-                           in_worker=_STATE.get("in_worker", True))
-        runner = _STATE["runner"]
-        trace, _ = runner.trace_for(job.workload, job.scale, job.budget)
-        if backend is not None and job.model == "cycle":
-            stats = simulate(trace, job.config, model=job.model,
-                             backend=backend)
-        else:
-            stats = simulate(trace, job.config, model=job.model)
-        payload = stats.as_dict()
-        store = _STATE["store"]
-        if store is not None:
-            try:
-                store.put(job.key(), payload, meta=job.meta(), defer=True)
-            except OSError as exc:
-                warn_once(("store-put-failed", store.root),
-                          f"result store {store.root} write failed "
-                          f"({exc}); results stay in memory only")
-                faults.recovered("store.put")
-    return payload, (sp.as_dict() if sp is not None else None)
+        faults.worker_exec(f"{job.key()}:{attempt}", in_worker=in_worker)
+        stats = runner.stats_for_job(job, backend=backend)
+    return stats, (sp.as_dict() if sp is not None else None)
 
 
 def _build_one_trace(key):
@@ -210,15 +184,7 @@ def _build_one_trace(key):
     """
     import numpy as np
 
-    from ..core.runner import Runner
-    from ..trace.store import TraceStore, store_enabled
-
-    tstore = TraceStore(create=False, remote=False) if store_enabled() \
-        else False
-    workload, scale, budget = key
-    trace, _ = Runner(use_disk_cache=False,
-                      trace_store=tstore).trace_for(workload, scale,
-                                                    budget)
+    trace, _ = _worker_runner(None).trace_for(*key)
     columns = {
         c: np.ascontiguousarray(getattr(trace, c))
         for c in ("kind", "addr", "pc", "taken", "dep1", "dep2", "func")
@@ -346,6 +312,21 @@ def _quarantine(journal, job, exc, attempts, backend=None):
     return failure
 
 
+def _charge(work, item, exc, journal, finish):
+    """The one retry/quarantine decision for a failed attempt of *item*
+    (a ``(slot, job, attempt, backend)`` work item): requeue it (cycle
+    tier on the ``python`` backend) while retries remain, else
+    quarantine it."""
+    i, job, attempt, backend = item
+    retries = job_retries()
+    if attempt < retries:
+        _note_retry(journal, job, attempt + 1, exc, retries + 1)
+        work.append((i, job, attempt + 1, _retry_backend(job)))
+    else:
+        finish(item, _quarantine(journal, job, exc, attempt + 1,
+                                 backend=backend))
+
+
 def run_jobs(jobs, workers=None, runner=None, store=None, progress=None):
     """Execute *jobs*, returning results aligned with input order.
 
@@ -353,14 +334,12 @@ def run_jobs(jobs, workers=None, runner=None, store=None, progress=None):
     every attempt, a :class:`~repro.engine.failures.JobFailure` record
     (see the module docstring for the retry/quarantine semantics).
 
-    Serial path (``workers<=1``): every job goes through
-    ``runner.stats_for`` (the ``default_runner`` when none is given),
-    preserving the exact pre-engine execution order and caching.
-
-    Parallel path: hits are resolved against *store* up front (the
-    runner's store by default), misses fan out over a supervised
-    process pool, and workers persist their results to the shared
-    store as they finish.
+    Hits are resolved against *store* (the runner's store by default)
+    up front.  With ``n = min(workers, misses)`` above one, the misses
+    fan out over supervised worker processes that persist their
+    results to the same store; otherwise they run in-process, in
+    input order, through *runner* (the ``default_runner`` when none is
+    given, or one over *store* when only a store is given).
 
     Telemetry: every job is wrapped in a ``"job"`` span whose tree is
     merged into the process metrics registry and — when an enclosing
@@ -370,112 +349,130 @@ def run_jobs(jobs, workers=None, runner=None, store=None, progress=None):
     The progress meter is always finished from a ``finally``, so an
     interrupted run leaves the terminal on a fresh line.
     """
+    from ..core.runner import PREBUILT_TRACES, Runner, default_runner
+    from ..uarch import SimStats
+
     jobs = list(jobs)
     workers = resolve_workers(workers)
     if progress is not None and getattr(progress, "total", 0) <= 0:
         progress.total = len(jobs)
+    if runner is None:
+        runner = (Runner(cache_dir=store.root, store=store)
+                  if store is not None else default_runner())
+    if store is None and runner.use_disk_cache:
+        store = runner.store
+
+    t0 = time.perf_counter()
+    prebuild_tree = None
+    n = 1
+    results = [None] * len(jobs)
 
     with telemetry.scope("run-jobs", jobs=len(jobs),
                          workers=workers) as journal:
-        try:
-            if workers <= 1 or len(jobs) <= 1:
-                return _run_serial(jobs, runner, store, progress, journal)
-            return _run_parallel(jobs, workers, runner, store, progress,
-                                 journal)
-        finally:
+        def finish(item, outcome, tree=None):
+            i, job, attempt, _ = item
+            results[i] = outcome
+            if not isinstance(outcome, JobFailure):
+                if attempt > 0:
+                    faults.recovered("worker.exec")
+                telemetry.record_tree(tree)
+                _journal_job(journal, job, False, tree)
             if progress is not None:
-                progress.finish()
+                progress.step(job.describe(), cached=False)
 
-
-def _serial_execute(runner, job, backend):
-    """One serial attempt, honoring a retry's backend override."""
-    if backend is None or job.model != "cycle":
-        return runner.stats_for_job(job)
-    from ..uarch import simulate
-
-    trace, _ = runner.trace_for(job.workload, job.scale, job.budget)
-    stats = simulate(trace, job.config, model=job.model, backend=backend)
-    if runner.use_disk_cache:
-        # Backends are bit-identical, so the degraded retry caches
-        # under the job's ordinary key.
         try:
-            runner.store.put(job.key(), stats.as_dict(), meta=job.meta(),
-                             defer=True)
-        except OSError:
-            pass
-    return stats
-
-
-def _run_serial(jobs, runner, store, progress, journal):
-    from ..core.runner import Runner, default_runner
-
-    if runner is None:
-        # Honor an explicit store even on the serial path.
-        runner = (Runner(cache_dir=store.root, store=store)
-                  if store is not None else default_runner())
-    retries = job_retries()
-    t0 = time.perf_counter()
-    out = []
-    try:
-        for job in jobs:
-            cached = None
-            if (progress is not None or journal is not None) \
-                    and runner.use_disk_cache:
-                cached = runner.store.contains(job.key(), job.legacy_key())
-            stats = sp = None
-            failure = None
-            backend = None
-            for attempt in range(retries + 1):
-                try:
+            work = deque()
+            for i, job in enumerate(jobs):
+                if store is not None:
                     with telemetry.span("job", workload=job.workload,
                                         label=str(job.label),
-                                        model=job.model) as sp:
-                        stats = _serial_execute(runner, job, backend)
-                    break
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except _FATAL:
-                    raise
-                except Exception as exc:
-                    if attempt >= retries:
-                        failure = _quarantine(journal, job, exc,
-                                              attempt + 1, backend=backend)
-                    else:
-                        _note_retry(journal, job, attempt + 1, exc,
-                                    retries + 1)
-                        backend = _retry_backend(job)
-            if failure is not None:
-                out.append(failure)
-                if progress is not None:
-                    progress.step(job.describe(), cached=False)
-                continue
-            if attempt > 0:
-                faults.recovered("worker.exec")
-            telemetry.record_tree(sp)
-            _journal_job(journal, job, cached, sp)
+                                        model=job.model, cached=True) as sp:
+                        payload = store.get(job.key(), job.legacy_key())
+                else:
+                    payload, sp = None, None
+                if payload is not None:
+                    results[i] = SimStats.from_dict(payload)
+                    telemetry.record_tree(sp)
+                    _journal_job(journal, job, True, sp)
+                    if progress is not None:
+                        progress.step(job.describe(), cached=True)
+                else:
+                    # The lookup missed: its "job" span never became a
+                    # job.  Keep the store/remote child phases in the
+                    # registry but drop the phantom root (the executed
+                    # attempt's tree is the job's record).
+                    if sp is not None:
+                        for child in sp.children:
+                            telemetry.record_tree(child)
+                    work.append((i, job, 0, None))
+
+            n = max(1, min(workers, len(work)))
+            if n == 1:
+                _run_inline(work, runner, journal, finish)
+            else:
+                # Same trace key => contiguous submission order => warm
+                # worker memos.  Tier second: in a mixed (adaptive)
+                # batch a worker then runs a trace's same-tier jobs
+                # back to back.
+                work = deque(sorted(work, key=lambda item: (
+                    item[1].trace_key, item[1].model, item[0])))
+                # Build/load every needed trace in the parent *before*
+                # forking: workers then inherit the whole set zero-copy
+                # instead of each paying synthesis or load again.
+                with telemetry.span("prebuild") as psp:
+                    prebuild_traces([item[1] for item in work], workers=n)
+                prebuild_tree = psp
+                telemetry.record_tree(psp)
+                _dispatch_supervised(work, n, runner, store, journal,
+                                     finish)
+        finally:
+            # The forked children hold their own (copy-on-write) views;
+            # dropping the parent's set bounds its memory across studies.
+            PREBUILT_TRACES.clear()
+            if store is not None:
+                store.flush()
             if progress is not None:
-                progress.step(job.describe(), cached=cached)
-            out.append(stats)
-    finally:
-        if runner.use_disk_cache:
-            runner.store.flush()
-        if journal is not None:
-            journal.batch(time.perf_counter() - t0, workers=1,
-                          store=_store_snapshot(
-                              runner.store if runner.use_disk_cache
-                              else None))
-    return out
+                progress.finish()
+            if journal is not None:
+                journal.batch(
+                    time.perf_counter() - t0, workers=n,
+                    prebuild_s=(prebuild_tree.seconds
+                                if prebuild_tree is not None else 0.0),
+                    store=_store_snapshot(store),
+                    spans=(prebuild_tree.as_dict()
+                           if prebuild_tree is not None else None))
+    return results
+
+
+def _run_inline(work, runner, journal, finish):
+    """The in-process loop: attempts in queue order through the
+    caller's runner, whose store receives each result directly.
+
+    Same entry point and retry/quarantine as the supervised loop, but
+    nothing can reap a hung parent (no timeout) and chaos must never
+    kill it (fault death modes demote to ``raise``).
+    """
+    while work:
+        item = work.popleft()
+        try:
+            stats, tree = _execute(*item[1:], runner, in_worker=False)
+        except _FATAL:
+            raise
+        except Exception as exc:
+            _charge(work, item, exc, journal, finish)
+            continue
+        finish(item, stats, tree)
 
 
 # ----------------------------------------------------------------------
-# Supervised parallel dispatch
+# Supervised dispatch
 # ----------------------------------------------------------------------
 class WorkerDied(RuntimeError):
     """A job's worker process exited without delivering a result."""
 
 
 def _child_entry(conn, store_root, job, attempt, backend):
-    """Per-job worker process body: init, execute, ship the outcome.
+    """Per-job worker process body: execute, ship the outcome.
 
     The outcome travels over *conn* as ``("ok", payload, tree)`` or
     ``("err", exc)``; a process that dies before sending anything is
@@ -488,9 +485,16 @@ def _child_entry(conn, store_root, job, attempt, backend):
 
     code = 0
     try:
-        _init_worker(store_root)
         try:
-            outcome = ("ok",) + _execute(job, attempt, backend)
+            # Ctrl-C is the parent's to handle; it kills the workers.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        except (ValueError, OSError):
+            pass
+        try:
+            stats, tree = _execute(job, attempt, backend,
+                                   _worker_runner(store_root),
+                                   in_worker=True)
+            outcome = ("ok", stats.as_dict(), tree)
         except BaseException as exc:  # serialized to the parent
             code = 1
             try:
@@ -510,15 +514,12 @@ def _child_entry(conn, store_root, job, attempt, backend):
 
 
 class _Flight:
-    """One in-flight job: its process, pipe, and attempt bookkeeping."""
+    """One in-flight job: its work item, process, and pipe."""
 
-    __slots__ = ("slot", "job", "attempt", "backend", "proc", "conn", "t0")
+    __slots__ = ("item", "proc", "conn", "t0")
 
-    def __init__(self, slot, job, attempt, backend, proc, conn):
-        self.slot = slot
-        self.job = job
-        self.attempt = attempt
-        self.backend = backend
+    def __init__(self, item, proc, conn):
+        self.item = item
         self.proc = proc
         self.conn = conn
         self.t0 = time.monotonic()
@@ -541,33 +542,7 @@ class _Flight:
             pass
 
 
-def _dispatch_inline(work, retries, journal, on_result, on_failure):
-    """In-parent fallback when no process pool can be built: same
-    entry point, same retry/quarantine semantics, no timeouts."""
-    while work:
-        i, job, attempt, backend = work.popleft()
-        try:
-            payload, tree = _execute(job, attempt, backend)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except _FATAL:
-            raise
-        except Exception as exc:
-            if attempt >= retries:
-                on_failure(i, job,
-                           _quarantine(journal, job, exc, attempt + 1,
-                                       backend=backend))
-            else:
-                _note_retry(journal, job, attempt + 1, exc, retries + 1)
-                work.append((i, job, attempt + 1, _retry_backend(job)))
-            continue
-        if attempt > 0:
-            faults.recovered("worker.exec")
-        on_result(i, job, payload, tree)
-
-
-def _dispatch_supervised(pending, n, store_root, journal, on_result,
-                         on_failure):
+def _dispatch_supervised(work, n, runner, store, journal, finish):
     """Dispatch loop that survives dead workers and hung jobs.
 
     One process per job, at most ``n`` in flight: spawn time is start
@@ -577,53 +552,43 @@ def _dispatch_supervised(pending, n, store_root, journal, on_result,
     kills whatever is still in flight — no half-dead pool survives the
     run.
     """
-    retries = job_retries()
+    from ..uarch import SimStats
+
     timeout = job_timeout()
-    work = deque((i, job, 0, None) for i, job in pending)
     ctx = _mp_context()
+    store_root = store.root if store is not None else None
+    # Workers write payload files with deferred puts (they exit via
+    # os._exit, skipping finalizers, so they can never be trusted to
+    # fold their own manifest entries).  The parent indexes each
+    # drained result instead and folds the whole batch in one locked
+    # manifest write at the end.  Size-capped stores are excluded:
+    # their workers index synchronously (put ignores defer), and a
+    # parent-side entry could resurrect a key another worker's
+    # eviction pass already deleted.
+    index_in_parent = store is not None and store.max_bytes is None
 
     running = {}  # process sentinel -> _Flight
-
-    def fail_attempt(flight, exc):
-        if flight.attempt >= retries:
-            on_failure(flight.slot, flight.job,
-                       _quarantine(journal, flight.job, exc,
-                                   flight.attempt + 1,
-                                   backend=flight.backend))
-        else:
-            _note_retry(journal, flight.job, flight.attempt + 1, exc,
-                        retries + 1)
-            work.append((flight.slot, flight.job, flight.attempt + 1,
-                         _retry_backend(flight.job)))
-
-    def fall_back_inline():
-        _init_worker(store_root, in_worker=False)
-        _dispatch_inline(work, retries, journal, on_result, on_failure)
-
     try:
         while work or running:
             while work and len(running) < n:
-                i, job, attempt, backend = work.popleft()
+                item = work.popleft()
                 try:
                     recv, send = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_child_entry,
-                        args=(send, store_root, job, attempt, backend),
-                        daemon=True)
+                    proc = ctx.Process(target=_child_entry,
+                                       args=(send, store_root) + item[1:],
+                                       daemon=True)
                     proc.start()
                 except (OSError, ValueError, ImportError):
                     # The platform stopped giving us processes
-                    # (EAGAIN, ENOMEM, sandboxed spawn): finish inline
-                    # through the same worker entry point once the
-                    # in-flight processes drain.
-                    work.appendleft((i, job, attempt, backend))
+                    # (EAGAIN, ENOMEM, sandboxed spawn): finish in
+                    # process once the in-flight workers drain.
+                    work.appendleft(item)
                     if not running:
-                        fall_back_inline()
+                        _run_inline(work, runner, journal, finish)
                         return
                     break
                 send.close()  # the child owns the write end now
-                running[proc.sentinel] = _Flight(i, job, attempt, backend,
-                                                 proc, recv)
+                running[proc.sentinel] = _Flight(item, proc, recv)
 
             if not running:
                 continue
@@ -641,14 +606,16 @@ def _dispatch_supervised(pending, n, store_root, journal, on_result,
                     del running[sentinel]
                     _TIMEOUTS_TOTAL.inc()
                     flight.discard(kill=True)
-                    fail_attempt(flight, TimeoutError(
-                        f"exceeded {TIMEOUT_ENV}={timeout:g}s"))
+                    _charge(work, flight.item, TimeoutError(
+                        f"exceeded {TIMEOUT_ENV}={timeout:g}s"),
+                        journal, finish)
                 continue
 
             for sentinel in ready:
                 flight = running.pop(sentinel, None)
                 if flight is None:
                     continue
+                job = flight.item[1]
                 outcome = None
                 try:
                     if flight.conn.poll():
@@ -660,127 +627,24 @@ def _dispatch_supervised(pending, n, store_root, journal, on_result,
                 if outcome is None:
                     _WORKER_DEATHS_TOTAL.inc()
                     code = flight.proc.exitcode
-                    warn_once(("worker-died", flight.job.key(),
-                               flight.attempt),
-                              f"worker running {flight.job.describe()} "
+                    warn_once(("worker-died", job.key(), flight.item[2]),
+                              f"worker running {job.describe()} "
                               f"died (exit code {code}); only that job "
                               f"is charged an attempt")
-                    fail_attempt(flight, WorkerDied(
-                        f"worker process died (exit code {code})"))
+                    _charge(work, flight.item, WorkerDied(
+                        f"worker process died (exit code {code})"),
+                        journal, finish)
                     continue
                 if outcome[0] == "err":
-                    exc = outcome[1]
-                    if isinstance(exc, _FATAL):
-                        raise exc
-                    fail_attempt(flight, exc)
+                    if isinstance(outcome[1], _FATAL):
+                        raise outcome[1]
+                    _charge(work, flight.item, outcome[1], journal, finish)
                     continue
-                if flight.attempt > 0:
-                    faults.recovered("worker.exec")
-                on_result(flight.slot, flight.job, outcome[1], outcome[2])
+                if index_in_parent:
+                    store.index_deferred(job.key(), meta=job.meta())
+                finish(flight.item, SimStats.from_dict(outcome[1]),
+                       outcome[2])
     finally:
         for flight in running.values():
             flight.discard(kill=True)
         running.clear()
-
-
-def _run_parallel(jobs, workers, runner, store, progress, journal):
-    from ..core.runner import PREBUILT_TRACES, default_runner
-    from ..uarch import SimStats
-
-    if store is None:
-        runner = runner or default_runner()
-        store = runner.store if runner.use_disk_cache else None
-
-    t0 = time.perf_counter()
-    prebuild_tree = None
-    n = workers
-    results = [None] * len(jobs)
-    pending = []
-    try:
-        for i, job in enumerate(jobs):
-            if store is not None:
-                with telemetry.span("job", workload=job.workload,
-                                    label=str(job.label), model=job.model,
-                                    cached=True) as sp:
-                    payload = store.get(job.key(), job.legacy_key())
-            else:
-                payload, sp = None, None
-            if payload is not None:
-                results[i] = SimStats.from_dict(payload)
-                telemetry.record_tree(sp)
-                _journal_job(journal, job, True, sp)
-                if progress is not None:
-                    progress.step(job.describe(), cached=True)
-            else:
-                # The lookup missed: its "job" span never became a job.
-                # Keep the store/remote child phases in the registry
-                # but drop the phantom root (the worker's tree is the
-                # job's record).
-                if sp is not None:
-                    for child in sp.children:
-                        telemetry.record_tree(child)
-                pending.append((i, job))
-
-        if not pending:
-            return results
-
-        # Same trace key => contiguous submission order => warm worker
-        # memos.  Tier second: in a mixed (adaptive) batch a worker
-        # then runs a trace's same-tier jobs back to back.
-        pending.sort(key=lambda item: (item[1].trace_key, item[1].model,
-                                       item[0]))
-        todo = [job for _, job in pending]
-        n = min(workers, len(pending))
-
-        # Build/load every needed trace in the parent *before* forking:
-        # workers then inherit the whole set zero-copy instead of each
-        # paying synthesis or load again.
-        with telemetry.span("prebuild") as psp:
-            prebuild_traces(todo, workers=n)
-        prebuild_tree = psp
-        telemetry.record_tree(psp)
-
-        # Workers write payload files with deferred puts
-        # (multiprocessing children exit via os._exit, skipping
-        # finalizers, so they can never be trusted to fold their own
-        # manifest entries).  The parent indexes each drained result
-        # instead and folds the whole batch in one locked manifest
-        # write at the end — instead of one lock round-trip per job.
-        # Size-capped stores are excluded: their workers index
-        # synchronously (put ignores defer), and a parent-side entry
-        # could resurrect a key another worker's eviction pass already
-        # deleted.
-        index_in_parent = store is not None and store.max_bytes is None
-
-        def on_result(i, job, payload, tree):
-            results[i] = SimStats.from_dict(payload)
-            telemetry.record_tree(tree)
-            _journal_job(journal, job, False, tree)
-            if index_in_parent:
-                store.index_deferred(job.key(), meta=job.meta())
-            if progress is not None:
-                progress.step(job.describe(), cached=False)
-
-        def on_failure(i, job, failure):
-            results[i] = failure
-            if progress is not None:
-                progress.step(job.describe(), cached=False)
-
-        _dispatch_supervised(pending, n,
-                             store.root if store is not None else None,
-                             journal, on_result, on_failure)
-    finally:
-        # The forked children hold their own (copy-on-write) views;
-        # dropping the parent's set bounds its memory across studies.
-        PREBUILT_TRACES.clear()
-        if store is not None:
-            store.flush()
-        if journal is not None:
-            journal.batch(
-                time.perf_counter() - t0, workers=n,
-                prebuild_s=(prebuild_tree.seconds
-                            if prebuild_tree is not None else 0.0),
-                store=_store_snapshot(store),
-                spans=(prebuild_tree.as_dict()
-                       if prebuild_tree is not None else None))
-    return results

@@ -214,13 +214,58 @@ class TestSupervisedPool:
 
     def test_serial_chaos_never_kills_the_parent(self, tmp_path,
                                                  monkeypatch):
-        # The serial path executes in the parent: death modes must be
+        # workers=1 executes in the parent: death modes must be
         # demoted to raise (then retried), not exit the test process.
         jobs, runner = self._jobs(tmp_path)
         monkeypatch.setenv(faults.FAULTS_ENV,
                            f"worker.exec:kill:1:0:{jobs[0].key()}:0")
         stats = run_jobs(jobs, workers=1, runner=runner)
         assert all(not isinstance(st, JobFailure) for st in stats)
+        assert faults.injected_counts()[("worker.exec", "kill")] == 1
+        assert faults.recovered_counts()["worker.exec"] == 1
+
+    def test_no_process_fallback_runs_in_process(self, tmp_path,
+                                                 monkeypatch):
+        # A platform that refuses to start processes: the batch
+        # finishes in-process through the caller's store, identical to
+        # workers=1, each key indexed and pushed exactly once.
+        refused = []
+
+        class _NoStart(multiprocessing.Process):
+            def start(self):
+                refused.append(self)
+                raise OSError("no processes here")
+
+        class _Ctx:
+            Pipe = staticmethod(multiprocessing.Pipe)
+            Process = _NoStart
+
+        class _FakeRemote:
+            def __init__(self):
+                self.pushed = []
+
+            def get_bytes(self, key):
+                return None
+
+            def put_bytes(self, key, data, wait=False):
+                self.pushed.append(key)
+                return True
+
+            def drain(self, timeout=None):
+                return True
+
+        jobs, _ = self._jobs(tmp_path)
+        serial = run_jobs(jobs, workers=1,
+                          runner=Runner(cache_dir=tmp_path / "serial"))
+        monkeypatch.setattr("repro.engine.pool._mp_context", _Ctx)
+        remote = _FakeRemote()
+        store = ResultStore(tmp_path / "fallback", remote=remote)
+        stats = run_jobs(jobs, workers=2, store=store)
+        assert [st.as_dict() for st in stats] == \
+            [st.as_dict() for st in serial]
+        assert len(refused) == 1  # the first start fell back for all
+        assert len(store.keys()) == len(jobs) == 4
+        assert sorted(remote.pushed) == sorted(j.key() for j in jobs)
 
     def test_chaos_l2_sweep_completes_full_grid(self, tmp_path,
                                                 monkeypatch):
@@ -392,7 +437,7 @@ class TestJournalDegradation:
             calls["n"] += 1
             raise KeyboardInterrupt
 
-        # The serial path binds `simulate` at import time.
+        # repro.core.runner binds `simulate` at import time.
         monkeypatch.setattr(runner_mod, "simulate", interrupt)
         jobs = [JobSpec("ar", gem5_baseline(), label="base", **_FAST)]
         with pytest.raises(KeyboardInterrupt):

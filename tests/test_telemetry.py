@@ -289,7 +289,7 @@ def test_journal_survives_worker_failure(tmp_path, monkeypatch):
         pytest.skip("fork start method unavailable")
     jdir = tmp_path / "journals"
     _journal_env(monkeypatch, jdir)
-    import repro.uarch as uarch
+    import repro.core.runner as runner_mod
 
     def boom(trace, config, model="cycle", **kwargs):
         raise RuntimeError("injected worker failure")
@@ -298,7 +298,7 @@ def test_journal_survives_worker_failure(tmp_path, monkeypatch):
     # every job raises in the child — the supervised pool retries each
     # job, then quarantines it, and the journal records the whole
     # story while still terminating and parsing.
-    monkeypatch.setattr(uarch, "simulate", boom)
+    monkeypatch.setattr(runner_mod, "simulate", boom)
     jobs = expand_grid(_WORKLOADS, [(2.0, gem5_baseline(freq_ghz=2.0))],
                        **_FAST)
     results = run_jobs(jobs, workers=2,
