@@ -41,3 +41,12 @@ def emit(output_dir, name, text):
         fh.write(text)
     print("\n" + text)
     return path
+
+
+def emit_timing(output_dir, name, text):
+    """Like :func:`emit`, for an artifact holding host wall-clock
+    columns: it goes to the gitignored ``timing/`` subdirectory, so
+    re-rendering never dirties a tracked file."""
+    timing_dir = os.path.join(output_dir, "timing")
+    os.makedirs(timing_dir, exist_ok=True)
+    return emit(timing_dir, name, text)

@@ -3,12 +3,17 @@
 Fig. 5 plots solve time against input size for every category (the eye
 must sit above the trend); Fig. 6 contrasts CPU time across the
 biphasic / fluid / material groups.
+
+The tracked ``_output/fig5.txt`` and ``fig6.txt`` keep only the columns
+that do not depend on the host (sizes, equation counts, Newton
+iterations); the tables with wall-clock ``seconds`` go to the
+gitignored ``_output/timing/``.
 """
 
 import math
 
 import pytest
-from conftest import emit
+from conftest import emit, emit_timing
 
 from repro.core import figures
 from repro.io import render_bars, render_table
@@ -26,14 +31,19 @@ def test_fig5_scaling(benchmark, output_dir, fig5_points):
         rounds=1, iterations=1,
     )
     rows = sorted(points, key=lambda p: p["size_kb"])
-    text = render_table(
+    emit(output_dir, "fig5.txt", render_table(
+        rows,
+        columns=["name", "category", "size_kb", "neq", "newton_iters"],
+        floatfmt="{:.3f}",
+        title="Fig. 5 - Model size and solver work",
+    ))
+    emit_timing(output_dir, "fig5.txt", render_table(
         rows,
         columns=["name", "category", "size_kb", "seconds", "neq",
                  "newton_iters"],
         floatfmt="{:.3f}",
         title="Fig. 5 - Solve time vs model size (log-log cloud)",
-    )
-    emit(output_dir, "fig5.txt", text)
+    ))
 
     # Shape check 1: time correlates positively with size in log space.
     xs = [math.log(p["size_kb"]) for p in points if not p["case_study"]]
@@ -60,6 +70,10 @@ def test_fig6_cpu_time(benchmark, output_dir):
         lambda: figures.fig6_cpu_time(scale="default"),
         rounds=1, iterations=1,
     )
+    emit(output_dir, "fig6.txt", render_table(
+        rows, columns=["group", "workload", "neq"],
+        title="Fig. 6 - Model groups",
+    ))
     text = render_table(
         rows, columns=["group", "workload", "seconds", "neq"],
         floatfmt="{:.3f}",
@@ -69,7 +83,7 @@ def test_fig6_cpu_time(benchmark, output_dir):
         [(r["workload"], r["seconds"]) for r in rows],
         title="seconds", floatfmt="{:.3f}",
     )
-    emit(output_dir, "fig6.txt", text)
+    emit_timing(output_dir, "fig6.txt", text)
 
     by_group = {}
     for r in rows:

@@ -22,12 +22,10 @@ Subcommands
 
 ``sweep``, ``study``, ``characterize``, and ``figures`` all execute
 through :mod:`repro.engine` studies: ``--workers N`` fans out over a
-process pool, ``--model interval`` swaps the cycle-accurate simulator
-for the vectorized interval tier (roughly an order of magnitude
-faster), and ``--policy adaptive`` scans the whole grid on the
-interval tier and re-runs only each workload's interesting region
-cycle-accurately, labeling every result cell with the tier that
-produced it.
+process pool, ``--model`` picks the one fidelity tier the whole grid
+runs on (``cycle``, or the cheaper vectorized ``interval`` estimate),
+and ``--cycle-backend native`` runs the cycle tier through its
+compiled, bit-identical kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .core import sweeps
 from .core.characterize import characterize_jobs, run_characterizations
 from .core.runner import Runner, default_cache_dir
 from .engine import Progress, ResultStore, resolve_workers
-from .engine.study import AXIS_BUILDERS, POLICIES, Study, parse_axis
+from .engine.study import AXIS_BUILDERS, Study, parse_axis
 from .io.textplot import render_table
 from .profiling import metric_set
 from .uarch import MODELS
@@ -109,21 +107,9 @@ def _finish_progress(progress):
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def _resolve_policy(args):
-    """``--policy`` wins; otherwise ``--model`` names the single tier."""
-    return getattr(args, "policy", None) or args.model
-
-
 def _print_result_table(result, metric, title):
-    """Render a study result, marking non-top-tier cells with ``~``.
-
-    On a mixed (adaptive) table the accurate tier's cells print bare;
-    cells served by the scan tier keep a ``~`` prefix so approximate
-    numbers are never mistaken for cycle-accurate ones.
-    """
-    mixed = len(result.tier_counts()) > 1
+    """Render a study result, then any quarantined failures."""
     fmt = "{:.4g}"  # readable for IPC (1.974) and seconds (1.044e-05)
-    tiers = result.tiers()
     # Columns come from the study's full grid, not the first row's
     # cells: a quarantined cell must leave a visible gap, not silently
     # drop its column for every workload.
@@ -133,19 +119,10 @@ def _print_result_table(result, metric, title):
     for w, by_label in result.table().items():
         row = {"workload": w}
         for label, m in by_label.items():
-            value = fmt.format(getattr(m, metric))
-            if mixed and tiers[(w, label)] != "cycle":
-                value = "~" + value
-            row[str(label)] = value
+            row[str(label)] = fmt.format(getattr(m, metric))
         rows.append(row)
     print(render_table(rows, columns=columns, title=title))
-    if mixed:
-        counts = result.tier_counts()
-        grid = len(result.cells)
-        print(f"adaptive: {counts.get('cycle', 0)}/{grid} cells "
-              f"cycle-refined (~ = interval scan value); cycle jobs run: "
-              f"{result.jobs_run.get('cycle', 0)} of {grid} grid points")
-    failures = getattr(result, "failures", None)
+    failures = result.failures
     if failures:
         rows = [{"workload": f.workload, "label": str(f.label),
                  "tier": f.model, "attempts": str(f.attempts),
@@ -162,9 +139,8 @@ def cmd_sweep(args):
     fn = SWEEPS[args.name]
     workloads = _split_workloads(args.workloads)
     workers = resolve_workers(args.workers)
-    policy = _resolve_policy(args)
     kw = dict(workloads=workloads, scale=args.scale, budget=args.budget,
-              workers=workers, policy=policy, metric=args.metric,
+              workers=workers, model=args.model, metric=args.metric,
               full_result=True)
     if args.cache_dir:
         kw["runner"] = Runner(cache_dir=args.cache_dir)
@@ -181,13 +157,12 @@ def cmd_sweep(args):
         result, args.metric,
         title=f"{args.name} sweep — {args.metric} "
               f"(scale={args.scale}, budget={args.budget}, "
-              f"workers={workers}, model={policy})")
+              f"workers={workers}, model={args.model})")
     return 0
 
 
 def cmd_study(args):
     workers = resolve_workers(args.workers)
-    policy = _resolve_policy(args)
     try:
         axes = [parse_axis(spec) for spec in args.axes]
     except ValueError as exc:
@@ -210,8 +185,8 @@ def cmd_study(args):
     runner = Runner(cache_dir=args.cache_dir) if args.cache_dir else Runner()
     progress = _progress(args, "study")
     try:
-        result = study.run(policy=policy, workers=workers, runner=runner,
-                           progress=progress)
+        result = study.run(policy=args.model, workers=workers,
+                           runner=runner, progress=progress)
     except KeyError as exc:
         print(f"error: unknown workload {exc}", file=sys.stderr)
         return 2
@@ -225,10 +200,9 @@ def cmd_study(args):
     _print_result_table(
         result, args.metric,
         title=f"{study.describe()} — {args.metric} "
-              f"(workers={workers}, model={policy})")
+              f"(workers={workers}, model={args.model})")
     best = result.best(args.metric)
-    rows = [{"workload": w, "best": str(label),
-             "tier": result.tiers()[(w, label)]}
+    rows = [{"workload": w, "best": str(label)}
             for w, label in best.items()]
     print(render_table(rows, title=f"best {args.metric} per workload"))
     return 0
@@ -265,7 +239,6 @@ def cmd_characterize(args):
     workloads = (list(args.workloads)
                  or [spec.name for spec in vtune_workloads()])
     config = gem5_baseline() if args.gem5 else host_i9()
-    policy = _resolve_policy(args)
     jobs = characterize_jobs(workloads, config=config, scale=args.scale,
                              budget=args.budget, model=args.model)
     workers = resolve_workers(args.workers)
@@ -274,12 +247,8 @@ def cmd_characterize(args):
     runner = Runner(cache_dir=args.cache_dir) if args.cache_dir else Runner()
     progress = _progress(args, "characterize")
     try:
-        # Raw args.policy, not the resolved one: with no --policy the
-        # jobs already carry --model as their tier and run exactly as
-        # given (the resolved value only labels the table title).
-        chars = run_characterizations(
-            jobs, runner=runner, workers=workers, progress=progress,
-            policy=args.policy)
+        chars = run_characterizations(jobs, runner=runner, workers=workers,
+                                      progress=progress)
     except KeyError as exc:
         print(f"error: unknown workload {exc}", file=sys.stderr)
         return 2
@@ -297,7 +266,7 @@ def cmd_characterize(args):
         rows, floatfmt="{:.3f}",
         title=f"characterization — {config.name} (scale={args.scale}, "
               f"budget={args.budget}, workers={workers}, "
-              f"model={policy})"))
+              f"model={args.model})"))
     return 0
 
 
@@ -309,7 +278,6 @@ def cmd_figures(args):
     if "workers" in accepted:
         kw["workers"] = resolve_workers(args.workers)
         kw["model"] = args.model
-        kw["policy"] = args.policy
         if not args.quiet:
             kw["progress"] = Progress(0, label=args.name)
     else:
@@ -317,8 +285,6 @@ def cmd_figures(args):
             dropped.append("--workers")
         if args.model != "cycle":
             dropped.append("--model")
-        if args.policy is not None:
-            dropped.append("--policy")
     if "scale" in accepted:
         if args.scale is not None:
             kw["scale"] = args.scale
@@ -630,14 +596,6 @@ def _add_backend_arg(p):
                         "cache keys do not depend on it")
 
 
-def _add_policy_arg(p):
-    p.add_argument("--policy", choices=POLICIES, default=None,
-                   help="execution policy; adaptive = interval scan of "
-                        "the full grid, then cycle-accurate re-run of "
-                        "each workload's interesting region "
-                        "(default: the --model tier)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -661,7 +619,6 @@ def build_parser():
     p.add_argument("--metric", choices=_METRICS, default="ipc")
     _add_model_arg(p)
     _add_backend_arg(p)
-    _add_policy_arg(p)
     p.add_argument("--quiet", action="store_true",
                    help="suppress the progress meter")
     p.set_defaults(func=cmd_sweep)
@@ -686,7 +643,6 @@ def build_parser():
                         "gem5 Table II baseline")
     _add_model_arg(p)
     _add_backend_arg(p)
-    _add_policy_arg(p)
     p.add_argument("--quiet", action="store_true",
                    help="suppress the progress meter")
     p.set_defaults(func=cmd_study)
@@ -718,7 +674,6 @@ def build_parser():
                    help="use the gem5 Table II baseline instead of host-i9")
     _add_model_arg(p)
     _add_backend_arg(p)
-    _add_policy_arg(p)
     p.add_argument("--quiet", action="store_true",
                    help="suppress the progress meter")
     p.set_defaults(func=cmd_characterize)
@@ -733,7 +688,6 @@ def build_parser():
                    help="trace scale override (figure-specific default)")
     _add_model_arg(p)
     _add_backend_arg(p)
-    _add_policy_arg(p)
     p.add_argument("--out", default=None,
                    help="write JSON here instead of stdout")
     p.add_argument("--quiet", action="store_true",

@@ -5,13 +5,10 @@ breakdown, stall split, hotspot report, and metric set for any workload
 on either the host (VTune) or gem5-baseline configuration.
 
 Characterization executes through :mod:`repro.engine` like the sweeps:
-a suite is a single-point :class:`~repro.engine.study.Study` (one
-config, many workloads) whose jobs run via ``run_jobs`` — so
-``workers=N`` fans the workloads out over a process pool,
-``progress=`` reports completions, ``model=`` picks the simulator
-fidelity tier, and ``policy=`` selects the execution policy
-(``adaptive`` interval-scans the suite before re-running it
-cycle-accurately).  Results are identical to the serial path
+a suite is one ``JobSpec`` per workload (one config) run via
+``run_jobs`` — so ``workers=N`` fans the workloads out over a process
+pool, ``progress=`` reports completions, and ``model=`` picks the
+simulator fidelity tier.  Results are identical to the serial path
 regardless of worker count.
 """
 
@@ -67,76 +64,44 @@ def characterize_jobs(workloads, config=None, scale="default",
     ]
 
 
-def run_characterizations(jobs, runner=None, workers=None, progress=None,
-                          policy=None):
+def run_characterizations(jobs, runner=None, workers=None, progress=None):
     """Execute a ``JobSpec`` list via the engine, one
-    :class:`Characterization` per job, in input order.
-
-    With ``policy=None`` the jobs run exactly as given (each on its own
-    ``model`` tier).  A ``policy`` wraps the list as a
-    :class:`~repro.engine.study.Study` and runs it under that policy.
-    Characterization suites are single-point grids, so ``"adaptive"``
-    has no region to select and simply runs the cycle tier — the
-    policy only pays off on multi-point sweep grids.
-    """
+    :class:`Characterization` per job (each on its own ``model`` tier),
+    in input order.  Quarantined jobs are dropped with a warning."""
     jobs = list(jobs)
-    if policy is None:
-        stats_list = run_jobs(jobs, workers=workers, runner=runner,
-                              progress=progress)
-        out = []
-        for job, stats in zip(jobs, stats_list):
-            if isinstance(stats, JobFailure):
-                warn_once(("characterize-failed", job.key()),
-                          f"characterization of {stats.describe()} was "
-                          f"quarantined after {stats.attempts} attempt(s) "
-                          f"({stats.error_type}); dropping it from the "
-                          f"suite")
-                continue
-            out.append(Characterization(job.workload, stats))
-        return out
-    # Repeated (workload, point) entries are legal in a job list (e.g.
-    # `repro characterize ar co ar`); the study plan needs each once,
-    # and the result maps back onto the original order below.
-    unique, seen = [], set()
-    for job in jobs:
-        key = (job.workload, str(job.label), job.key())
-        if key not in seen:
-            seen.add(key)
-            unique.append(job)
-    study = Study.from_jobs("characterize", unique)
-    result = study.run(policy=policy, workers=workers, runner=runner,
-                       progress=progress)
-    by_cell = {(c.workload, c.label): c.stats for c in result.cells}
-    for failure in getattr(result, "failures", ()):
-        warn_once(("characterize-failed", failure.key),
-                  f"characterization of {failure.describe()} was "
-                  f"quarantined after {failure.attempts} attempt(s) "
-                  f"({failure.error_type}); dropping it from the suite")
-    return [Characterization(job.workload, by_cell[(job.workload, job.label)])
-            for job in jobs if (job.workload, job.label) in by_cell]
+    stats_list = run_jobs(jobs, workers=workers, runner=runner,
+                          progress=progress)
+    out = []
+    for job, stats in zip(jobs, stats_list):
+        if isinstance(stats, JobFailure):
+            warn_once(("characterize-failed", job.key()),
+                      f"characterization of {stats.describe()} was "
+                      f"quarantined after {stats.attempts} attempt(s) "
+                      f"({stats.error_type}); dropping it from the suite")
+            continue
+        out.append(Characterization(job.workload, stats))
+    return out
 
 
 def characterize(workload, config=None, scale="default",
-                 budget=_VTUNE_BUDGET, runner=None, model="cycle",
-                 policy=None):
+                 budget=_VTUNE_BUDGET, runner=None, model="cycle"):
     """Characterize one workload (host config by default)."""
     config = config or host_i9()
     study = Study(f"characterize:{workload}", workloads=(workload,),
                   base=config, scale=scale, budget=budget)
-    result = study.run(policy=policy or model,
-                       runner=runner or default_runner())
+    result = study.run(policy=model, runner=runner or default_runner())
     return Characterization(workload, result.cells[0].stats)
 
 
 def characterize_vtune_suite(scale="default", runner=None, config=None,
                              workers=None, progress=None, model="cycle",
-                             budget=_VTUNE_BUDGET, policy=None):
+                             budget=_VTUNE_BUDGET):
     """Figs. 2-3: characterize the 12 VTune workloads, paper order."""
     jobs = characterize_jobs(
         [spec.name for spec in vtune_workloads()], config=config,
         scale=scale, budget=budget, model=model)
     return run_characterizations(jobs, runner=runner, workers=workers,
-                                 progress=progress, policy=policy)
+                                 progress=progress)
 
 
 def characterize_gem5_baseline(workload, scale="default", runner=None,

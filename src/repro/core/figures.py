@@ -8,10 +8,8 @@ functions only orchestrate — all analysis lives in
 Every simulation-backed generator executes through the engine: the
 figure's (workload x config) grid is a declarative
 :class:`~repro.engine.study.Study` run via ``run_jobs``, so all of
-them accept ``workers=N`` (process pool), ``progress=``, ``model=``
-(simulator fidelity tier) and ``policy=`` (execution policy —
-``"adaptive"`` interval-scans the grid and re-runs only the
-interesting region cycle-accurately) passthroughs.  ``fig5_scaling``
+them accept ``workers=N`` (process pool), ``progress=`` and ``model=``
+(simulator fidelity tier) passthroughs.  ``fig5_scaling``
 and ``fig6_cpu_time`` measure host wall-clock time and therefore stay
 serial — timing under a process pool would measure contention, not the
 solver.
@@ -50,25 +48,25 @@ _FIG6_GROUPS = {
 
 
 def fig2_topdown(scale="default", runner=None, workers=None, progress=None,
-                 model="cycle", policy=None):
+                 model="cycle"):
     """Fig. 2: top-down pipeline breakdown for the 12 VTune workloads."""
     chars = characterize_vtune_suite(scale=scale, runner=runner,
                                      workers=workers, progress=progress,
-                                     model=model, policy=policy)
+                                     model=model)
     return [c.topdown.row() for c in chars]
 
 
 def fig3_stall_split(scale="default", runner=None, workers=None,
-                     progress=None, model="cycle", policy=None):
+                     progress=None, model="cycle"):
     """Fig. 3: FE latency/bandwidth + BE core/memory split."""
     chars = characterize_vtune_suite(scale=scale, runner=runner,
                                      workers=workers, progress=progress,
-                                     model=model, policy=policy)
+                                     model=model)
     return [c.topdown.stall_row() for c in chars]
 
 
 def fig4_hotspots(scale="tiny", runner=None, workload_names=None,
-                  workers=None, progress=None, model="cycle", policy=None):
+                  workers=None, progress=None, model="cycle"):
     """Fig. 4: hotspot-category prevalence per workload category.
 
     Uses one representative per category (plus eye); tiny scale keeps
@@ -83,7 +81,7 @@ def fig4_hotspots(scale="tiny", runner=None, workload_names=None,
     jobs = characterize_jobs(workload_names, config=host_i9(), scale=scale,
                              budget=40_000, model=model)
     chars = run_characterizations(jobs, runner=runner, workers=workers,
-                                  progress=progress, policy=policy)
+                                  progress=progress)
     rows = []
     for c in chars:
         row = {"workload": c.workload,
@@ -124,11 +122,11 @@ def fig6_cpu_time(scale="default"):
 
 
 def fig7_pipeline_stages(scale="default", runner=None, workers=None,
-                         progress=None, model="cycle", policy=None):
+                         progress=None, model="cycle"):
     """Fig. 7: fetch / execute / commit stage breakdowns (gem5 set)."""
     study = Study("fig7", workloads=[spec.name for spec in gem5_workloads()],
                   base=gem5_baseline(), scale=scale)
-    result = study.run(policy=policy or model, workers=workers,
+    result = study.run(policy=model, workers=workers,
                        runner=runner, progress=progress)
     out = {"fetch": [], "execute": [], "commit": []}
     for cell in result.cells:
@@ -161,30 +159,25 @@ def fig7_pipeline_stages(scale="default", runner=None, workers=None,
     return out
 
 
-def fig8_frequency(runner=None, workers=None, progress=None, model="cycle",
-                   policy=None):
+def fig8_frequency(runner=None, workers=None, progress=None, model="cycle"):
     """Fig. 8: execution time and IPC vs core frequency."""
-    result = sweeps.frequency_sweep(runner=runner, workers=workers,
-                                    progress=progress, model=model,
-                                    policy=policy, full_result=True)
-    tag = _tier_tagger(result)
+    table = sweeps.frequency_sweep(runner=runner, workers=workers,
+                                   progress=progress, model=model)
     rows = []
-    for w, by_freq in result.table().items():
+    for w, by_freq in table.items():
         base = by_freq[1.0].seconds
         for f, m in sorted(by_freq.items()):
-            rows.append(tag(
-                {
-                    "workload": w,
-                    "freq_ghz": f,
-                    "seconds": m.seconds,
-                    "ipc": m.ipc,
-                    "speedup_vs_1ghz": base / m.seconds if m.seconds else 0.0,
-                }, w, f, baseline=1.0))
+            rows.append({
+                "workload": w,
+                "freq_ghz": f,
+                "seconds": m.seconds,
+                "ipc": m.ipc,
+                "speedup_vs_1ghz": base / m.seconds if m.seconds else 0.0,
+            })
     return rows
 
 
-def fig9_cache(runner=None, workers=None, progress=None, model="cycle",
-               policy=None):
+def fig9_cache(runner=None, workers=None, progress=None, model="cycle"):
     """Fig. 9: L1I/L1D/L2 MPKI and normalized execution time."""
     grids = (
         ("l1i", sweeps.l1i_sweep, "l1i_mpki"),
@@ -200,92 +193,58 @@ def fig9_cache(runner=None, workers=None, progress=None, model="cycle",
         ) * len(sweeps.GEM5_WORKLOADS)
     out = {}
     for label, sweep, mpki_key in grids:
-        result = sweep(runner=runner, workers=workers, progress=progress,
-                       model=model, policy=policy, full_result=True)
-        tag = _tier_tagger(result)
+        table = sweep(runner=runner, workers=workers, progress=progress,
+                      model=model)
         rows = []
-        for w, by_size in result.table().items():
+        for w, by_size in table.items():
             t_best = min(m.seconds for m in by_size.values())
-            best_size = next(s_ for s_, m in by_size.items()
-                             if m.seconds == t_best)
             for size, m in sorted(by_size.items()):
-                rows.append(tag(
-                    {
-                        "workload": w,
-                        "size_kb": size,
-                        "mpki": getattr(m, mpki_key),
-                        "seconds": m.seconds,
-                        "norm_time": m.seconds / t_best if t_best else 0.0,
-                    }, w, size, baseline=best_size))
+                rows.append({
+                    "workload": w,
+                    "size_kb": size,
+                    "mpki": getattr(m, mpki_key),
+                    "seconds": m.seconds,
+                    "norm_time": m.seconds / t_best if t_best else 0.0,
+                })
         out[label] = rows
     return out
 
 
-def _tier_tagger(result):
-    """Row decorator: on a mixed-tier (adaptive) result, record which
-    fidelity tier produced each cell so emitted JSON never silently
-    mixes cycle-accurate and interval-estimated values.  A row whose
-    value is a *ratio* against another cell (speedup, pct_diff,
-    norm_time) passes that baseline's label too: if the two cells came
-    from different tiers the row is tagged ``"mixed"``, because even a
-    cycle-accurate numerator inherits the scan tier's error through
-    the denominator.  Single-tier results keep the pre-study row
-    schema untouched."""
-    if len(result.tier_counts()) <= 1:
-        return lambda row, w, label, baseline=None: row
-    tiers = result.tiers()
-
-    def tag(row, w, label, baseline=None):
-        tier = tiers[(w, label)]
-        if baseline is not None and tiers[(w, baseline)] != tier:
-            tier = "mixed"
-        row["tier"] = tier
-        return row
-    return tag
-
-
-def _percent_diff_rows(result, baseline_key):
-    tag = _tier_tagger(result)
+def _percent_diff_rows(table, baseline_key):
     rows = []
-    for w, by_param in result.table().items():
+    for w, by_param in table.items():
         base = by_param[baseline_key].seconds
         for param, m in by_param.items():
             if param == baseline_key:
                 continue
-            rows.append(tag(
-                {
-                    "workload": w,
-                    "param": param,
-                    "pct_diff": 100.0 * (m.seconds - base) / base
-                    if base else 0.0,
-                }, w, param, baseline=baseline_key))
+            rows.append({
+                "workload": w,
+                "param": param,
+                "pct_diff": 100.0 * (m.seconds - base) / base
+                if base else 0.0,
+            })
     return rows
 
 
-def fig10_width(runner=None, workers=None, progress=None, model="cycle",
-                policy=None):
+def fig10_width(runner=None, workers=None, progress=None, model="cycle"):
     """Fig. 10: exec-time % difference vs the width-6 baseline."""
     return _percent_diff_rows(
         sweeps.width_sweep(runner=runner, workers=workers,
-                           progress=progress, model=model,
-                           policy=policy, full_result=True), 6)
+                           progress=progress, model=model), 6)
 
 
-def fig11_lsq(runner=None, workers=None, progress=None, model="cycle",
-              policy=None):
+def fig11_lsq(runner=None, workers=None, progress=None, model="cycle"):
     """Fig. 11: exec-time % difference vs the 72_56 LQ/SQ baseline."""
     return _percent_diff_rows(
         sweeps.lsq_sweep(runner=runner, workers=workers,
-                         progress=progress, model=model,
-                         policy=policy, full_result=True), "72_56")
+                         progress=progress, model=model), "72_56")
 
 
 def fig12_branch_predictor(runner=None, workers=None, progress=None,
-                           model="cycle", policy=None):
+                           model="cycle"):
     """Fig. 12: exec-time % difference vs TournamentBP."""
     return _percent_diff_rows(
         sweeps.branch_predictor_sweep(runner=runner, workers=workers,
-                                      progress=progress, model=model,
-                                      policy=policy, full_result=True),
+                                      progress=progress, model=model),
         "tournament"
     )

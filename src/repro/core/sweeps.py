@@ -8,16 +8,12 @@ All sweeps are declarative :class:`~repro.engine.study.Study` plans:
 one named axis over the Table II baseline, executed through
 ``engine.run_jobs``.  Every sweep accepts ``workers=N`` (default: the
 ``REPRO_WORKERS`` env var, else serial) to fan the grid out over a
-process pool, plus ``runner=``, ``progress=``, ``model=`` and
-``policy=`` passthroughs.  ``policy`` selects the execution policy —
-``"cycle"`` (bit-identical to the pre-study sweeps), ``"interval"``
-(the vectorized fidelity tier, roughly an order of magnitude faster),
-or ``"adaptive"`` (interval scan of the full grid, cycle-accurate
-re-run of each workload's interesting region only).  ``model=`` is the
-older spelling kept for compatibility; a tier name passed there is the
-same as passing it as ``policy``.  Pass ``full_result=True`` to get
-the tier-aware :class:`~repro.engine.study.StudyResult` instead of the
-plain dict.
+process pool, plus ``runner=``, ``progress=`` and ``model=``
+passthroughs.  ``model`` is the fidelity tier the whole grid runs on:
+``"cycle"`` (bit-identical to the pre-study sweeps) or ``"interval"``
+(the cheaper vectorized estimate, within about 15% IPC of cycle).  Pass ``full_result=True`` to get the
+:class:`~repro.engine.study.StudyResult` (cells, quarantined
+failures, ``best()``) instead of the plain dict.
 """
 
 from __future__ import annotations
@@ -62,8 +58,7 @@ def study_for(name, workloads=GEM5_WORKLOADS, values=None, scale=_SCALE,
               budget=_BUDGET, metric="seconds"):
     """The :class:`Study` plan behind one named sweep.
 
-    ``metric`` is the selection metric adaptive execution refines
-    around (and the default for ``StudyResult.best()``/``knee()``).
+    ``metric`` is the default for ``StudyResult.best()``.
     """
     axis_name, default_values = SWEEP_AXES[name]
     # `is None`, not truthiness: an explicitly empty grid must raise
@@ -77,11 +72,11 @@ def study_for(name, workloads=GEM5_WORKLOADS, values=None, scale=_SCALE,
 
 def _run(name, workloads, values, scale=_SCALE, budget=_BUDGET,
          runner=None, workers=None, progress=None, model="cycle",
-         policy=None, metric="seconds", full_result=False):
+         metric="seconds", full_result=False):
     study = study_for(name, workloads=workloads, values=values,
                       scale=scale, budget=budget, metric=metric)
-    result = study.run(policy=policy or model, workers=workers,
-                       runner=runner, progress=progress)
+    result = study.run(policy=model, workers=workers, runner=runner,
+                       progress=progress)
     return result if full_result else result.table()
 
 

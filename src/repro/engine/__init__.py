@@ -3,11 +3,9 @@
 This subsystem separates *what to simulate* (declarative
 :class:`Study` plans that compile to :class:`JobSpec` lists, or raw
 lists built with :func:`expand_grid`) from *how it runs*
-(:func:`run_jobs` serial or across a process pool, under a
-:data:`POLICIES` execution policy — all-cycle, all-interval, or an
-adaptive interval scan with cycle-accurate refinement) and *where
-results live* (:class:`ResultStore`, an indexed, concurrency-safe
-on-disk cache).  ``core.sweeps`` expresses every paper sweep as a
+(:func:`run_jobs` in-process or across a supervised process pool, on
+one fidelity tier per study) and *where results live*
+(:class:`ResultStore`, an indexed, concurrency-safe on-disk cache).  ``core.sweeps`` expresses every paper sweep as a
 study executed here; ``python -m repro`` drives the same machinery
 from the shell.
 """
@@ -17,14 +15,12 @@ from .jobs import JobSpec, config_fingerprint, expand_grid
 from .pool import resolve_workers, run_jobs
 from .progress import Progress
 from .store import ResultStore
-from .study import (Axis, POLICIES, Study, StudyResult, axis, parse_axis,
-                    select_refinement)
+from .study import Axis, Study, StudyResult, axis, parse_axis
 
 __all__ = [
     "Axis",
     "JobFailure",
     "JobSpec",
-    "POLICIES",
     "Progress",
     "ResultStore",
     "Study",
@@ -35,5 +31,4 @@ __all__ = [
     "parse_axis",
     "resolve_workers",
     "run_jobs",
-    "select_refinement",
 ]

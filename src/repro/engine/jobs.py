@@ -184,8 +184,8 @@ class JobSpec:
         }
 
     def describe(self):
-        """Human-readable job tag; non-cycle tiers are marked so mixed
-        (adaptive) batches read unambiguously in progress lines."""
+        """Human-readable job tag; non-cycle tiers are marked so an
+        interval-tier job never reads as a cycle-accurate one."""
         tier = "" if self.model == "cycle" else f" [{self.model}]"
         return f"{self.workload}@{self.label}{tier}"
 

@@ -327,19 +327,20 @@ def _charge(work, item, exc, journal, finish):
                                  backend=backend))
 
 
-def run_jobs(jobs, workers=None, runner=None, store=None, progress=None):
+def run_jobs(jobs, workers=None, runner=None, progress=None):
     """Execute *jobs*, returning results aligned with input order.
 
     Each slot holds the job's ``SimStats`` — or, when the job failed
     every attempt, a :class:`~repro.engine.failures.JobFailure` record
     (see the module docstring for the retry/quarantine semantics).
 
-    Hits are resolved against *store* (the runner's store by default)
-    up front.  With ``n = min(workers, misses)`` above one, the misses
-    fan out over supervised worker processes that persist their
-    results to the same store; otherwise they run in-process, in
-    input order, through *runner* (the ``default_runner`` when none is
-    given, or one over *store* when only a store is given).
+    *runner* (the ``default_runner`` when none is given) owns the one
+    result store of the batch: ``runner.store`` when its disk cache is
+    on, else none.  Hits are resolved against it up front.  With
+    ``n = min(workers, misses)`` above one, the misses fan out over
+    supervised worker processes that persist their results to the same
+    store; otherwise they run in-process, in input order, through
+    *runner*.
 
     Telemetry: every job is wrapped in a ``"job"`` span whose tree is
     merged into the process metrics registry and — when an enclosing
@@ -349,7 +350,7 @@ def run_jobs(jobs, workers=None, runner=None, store=None, progress=None):
     The progress meter is always finished from a ``finally``, so an
     interrupted run leaves the terminal on a fresh line.
     """
-    from ..core.runner import PREBUILT_TRACES, Runner, default_runner
+    from ..core.runner import PREBUILT_TRACES, default_runner
     from ..uarch import SimStats
 
     jobs = list(jobs)
@@ -357,10 +358,8 @@ def run_jobs(jobs, workers=None, runner=None, store=None, progress=None):
     if progress is not None and getattr(progress, "total", 0) <= 0:
         progress.total = len(jobs)
     if runner is None:
-        runner = (Runner(cache_dir=store.root, store=store)
-                  if store is not None else default_runner())
-    if store is None and runner.use_disk_cache:
-        store = runner.store
+        runner = default_runner()
+    store = runner.store if runner.use_disk_cache else None
 
     t0 = time.perf_counter()
     prebuild_tree = None
@@ -411,11 +410,9 @@ def run_jobs(jobs, workers=None, runner=None, store=None, progress=None):
                 _run_inline(work, runner, journal, finish)
             else:
                 # Same trace key => contiguous submission order => warm
-                # worker memos.  Tier second: in a mixed (adaptive)
-                # batch a worker then runs a trace's same-tier jobs
-                # back to back.
+                # worker memos; input order within a trace.
                 work = deque(sorted(work, key=lambda item: (
-                    item[1].trace_key, item[1].model, item[0])))
+                    item[1].trace_key, item[0])))
                 # Build/load every needed trace in the parent *before*
                 # forking: workers then inherit the whole set zero-copy
                 # instead of each paying synthesis or load again.

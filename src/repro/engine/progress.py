@@ -47,15 +47,6 @@ class Progress:
         self._finished = False  # a new phase reopens a finished meter
         self._emit(what, cached)
 
-    def add_total(self, n):
-        """Extend the expected job count mid-flight.
-
-        Adaptive execution only learns the refinement-pass size after
-        the scan pass finishes; extending the total keeps one meter
-        accurate across both phases instead of restarting at [0/?].
-        """
-        self.total = max(self.total, 0) + int(n)
-
     def finish(self):
         """Flush the final state and terminate the meter (idempotent).
 

@@ -1,19 +1,13 @@
-"""Declarative sweep plans with pluggable execution policies.
+"""Declarative sweep plans, run on one fidelity tier.
 
 A :class:`Study` captures a sweep as data — workloads x config
 :class:`Axis` values x (scale, budget) x a selection metric — instead
 of as a hand-rolled loop at every call site.  It compiles to the same
 :class:`~repro.engine.jobs.JobSpec` lists the engine already executes
-and runs them under one of three policies:
-
-* ``"cycle"`` — the whole grid on the cycle-accurate tier (bit-
-  identical to the pre-study sweep functions).
-* ``"interval"`` — the whole grid on the fast vectorized tier.
-* ``"adaptive"`` — scan the full grid on the interval tier, pick the
-  interesting region of each workload's curve (the knee of the metric
-  plus the best point, with one grid neighbor of context), and re-run
-  only that region cycle-accurately.  The merged result table records
-  which tier produced each cell.
+and runs the whole grid on one tier of
+:data:`~repro.uarch.core.MODELS`: ``"cycle"`` (bit-identical to the
+pre-study sweep functions) or ``"interval"`` (the fast vectorized
+estimate).
 
 ``core.sweeps``, the simulation-backed figure generators, and
 ``characterize()`` all express their grids as studies; ``repro study``
@@ -26,7 +20,7 @@ from __future__ import annotations
 from .. import telemetry
 from ..profiling import metric_set
 from ..uarch.config import CacheConfig, gem5_baseline
-from ..uarch.core import MODELS, TIER_LADDER, scan_margin, scan_tier
+from ..uarch.core import MODELS
 from .failures import JobFailure
 from .jobs import JobSpec, config_fingerprint
 from .pool import run_jobs
@@ -34,16 +28,12 @@ from .pool import run_jobs
 __all__ = [
     "AXIS_BUILDERS",
     "Axis",
-    "POLICIES",
     "Study",
     "StudyCell",
     "StudyResult",
     "axis",
     "parse_axis",
-    "select_refinement",
 ]
-
-POLICIES = MODELS + ("adaptive",)
 
 # Selection metrics where larger is better; everything else (seconds,
 # cpi, the MPKIs) improves downward.
@@ -169,70 +159,27 @@ def parse_axis(spec):
     return axis(name, values)
 
 
-def select_refinement(values, higher_better=False, margin=0.02, pad=1,
-                      mode="knee"):
-    """Indices of the interesting region of one workload's scan curve.
-
-    ``mode="knee"`` (for 1-D curves, where index order is a real grid
-    axis): the region is the union of two windows, each ``pad`` grid
-    neighbors wide — one around the *knee* (the first point whose
-    metric is within ``margin`` of the best, where a capacity/scaling
-    curve reaches its plateau) and one around the best point itself
-    (which differs from the knee on non-monotone, e.g. categorical,
-    curves).  Plateau points beyond the knee are deliberately *not*
-    selected: the scan tier already shows them flat, so refining the
-    knee's neighborhood is enough to place it exactly.
-
-    ``mode="near"`` (for flattened multi-axis cross products, where
-    adjacent indices are *not* neighboring configs, so windows and
-    knees have no meaning): every point within ``margin`` of the best.
-    """
-    values = list(values)
-    if not values:
-        return []
-    best = max(values) if higher_better else min(values)
-    if higher_better:
-        def near(v):
-            return v >= best * (1.0 - margin)
-    else:
-        def near(v):
-            return v <= best * (1.0 + margin)
-    if mode == "near":
-        return [i for i, v in enumerate(values) if near(v)]
-    best_i = values.index(best)
-    knee_i = next(i for i, v in enumerate(values) if near(v))
-    chosen = set()
-    for center in (knee_i, best_i):
-        lo = max(0, center - pad)
-        hi = min(len(values) - 1, center + pad)
-        chosen.update(range(lo, hi + 1))
-    return sorted(chosen)
-
-
 class StudyCell:
-    """One (workload, grid point) result and the tier that produced it."""
+    """One (workload, grid point) result."""
 
-    __slots__ = ("workload", "label", "stats", "metrics", "tier")
+    __slots__ = ("workload", "label", "stats", "metrics")
 
-    def __init__(self, workload, label, stats, metrics, tier):
+    def __init__(self, workload, label, stats, metrics):
         self.workload = workload
         self.label = label
         self.stats = stats
         self.metrics = metrics
-        self.tier = tier
 
     def __repr__(self):
-        return (f"StudyCell({self.workload!r}, {self.label!r}, "
-                f"tier={self.tier!r})")
+        return f"StudyCell({self.workload!r}, {self.label!r})"
 
 
 class StudyResult:
-    """Merged result table of a study run.
+    """Result table of a study run.
 
     Cells are ordered workload-major in grid order — the same order the
-    equivalent ``JobSpec`` list executes in — and each records the
-    fidelity tier that produced it.  ``table()`` reproduces the shape
-    the pre-study sweep functions returned.
+    equivalent ``JobSpec`` list executes in.  ``table()`` reproduces the
+    shape the pre-study sweep functions returned.
 
     Jobs quarantined by the supervised pool (retries exhausted) do not
     become cells; their :class:`~repro.engine.failures.JobFailure`
@@ -240,13 +187,11 @@ class StudyResult:
     its ``n-k`` good cells *and* a visible account of the ``k``.
     """
 
-    def __init__(self, study, policy, cells, jobs_run=None, failures=None):
+    def __init__(self, study, policy, cells, failures=None):
         self.study = study
+        #: The fidelity tier every cell ran on.
         self.policy = policy
         self.cells = list(cells)
-        #: Jobs actually simulated or fetched per tier, e.g.
-        #: ``{"interval": 24, "cycle": 16}`` for an adaptive run.
-        self.jobs_run = dict(jobs_run or {})
         #: Quarantined jobs (:class:`JobFailure` records), if any.
         self.failures = list(failures or ())
 
@@ -257,82 +202,13 @@ class StudyResult:
             out.setdefault(cell.workload, {})[cell.label] = cell.metrics
         return out
 
-    def stats_table(self):
-        """``{workload: {label: SimStats}}`` in grid order."""
-        out = {}
-        for cell in self.cells:
-            out.setdefault(cell.workload, {})[cell.label] = cell.stats
-        return out
-
-    def tiers(self):
-        """``{(workload, label): tier}`` for every cell."""
-        return {(c.workload, c.label): c.tier for c in self.cells}
-
-    def tier_counts(self):
-        counts = {}
-        for cell in self.cells:
-            counts[cell.tier] = counts.get(cell.tier, 0) + 1
-        return counts
-
-    def refined(self):
-        """Per-workload labels that the most accurate tier produced."""
-        return {w: [c.label for c in self._best_tier_cells(w)]
-                for w in self.workloads()}
-
-    def _best_tier_cells(self, workload):
-        # Rank by the fidelity ladder (coarse -> accurate): conclusions
-        # come from the most accurate tier that covered the workload.
-        cells = [c for c in self.cells if c.workload == workload]
-        top = max(TIER_LADDER.index(c.tier) for c in cells)
-        return [c for c in cells if TIER_LADDER.index(c.tier) == top]
-
-    def workloads(self):
-        seen = []
-        for cell in self.cells:
-            if cell.workload not in seen:
-                seen.append(cell.workload)
-        return seen
-
     def best(self, metric=None):
-        """Per-workload best label on each workload's most accurate
-        tier (first in grid order on exact ties)."""
+        """Per-workload best label (first in grid order on exact ties)."""
         metric = metric or self.study.metric
-        higher = metric in _HIGHER_BETTER
-        out = {}
-        for w in self.workloads():
-            cells = self._best_tier_cells(w)
-            values = [getattr(c.metrics, metric) for c in cells]
-            best = max(values) if higher else min(values)
-            out[w] = cells[values.index(best)].label
-        return out
-
-    def knee(self, metric=None, margin=0.02):
-        """Per-workload first label (grid order) whose metric is within
-        ``margin`` of that workload's best, on the most accurate tier —
-        the knee of a capacity/scaling curve."""
-        metric = metric or self.study.metric
-        higher = metric in _HIGHER_BETTER
-        out = {}
-        for w in self.workloads():
-            cells = self._best_tier_cells(w)
-            values = [getattr(c.metrics, metric) for c in cells]
-            best = max(values) if higher else min(values)
-            for cell, v in zip(cells, values):
-                past = (v >= best * (1.0 - margin) if higher
-                        else v <= best * (1.0 + margin))
-                if past:
-                    out[w] = cell.label
-                    break
-        return out
-
-    def rows(self, metric=None):
-        """Flat dict rows (workload, label, metric value, tier)."""
-        metric = metric or self.study.metric
-        return [
-            {"workload": c.workload, "label": str(c.label),
-             metric: getattr(c.metrics, metric), "tier": c.tier}
-            for c in self.cells
-        ]
+        pick = max if metric in _HIGHER_BETTER else min
+        return {w: pick(by_label,
+                        key=lambda label: getattr(by_label[label], metric))
+                for w, by_label in self.table().items()}
 
 
 class Study:
@@ -431,29 +307,20 @@ class Study:
                 f"(scale={self.scale}, budget={self.budget})")
 
     # ------------------------------------------------------------------
-    def run(self, policy="cycle", workers=None, runner=None, progress=None,
-            refine_margin=None, refine_pad=1):
-        """Execute the study and return a :class:`StudyResult`.
+    def run(self, policy="cycle", workers=None, runner=None, progress=None):
+        """Execute the whole grid on one fidelity tier and return a
+        :class:`StudyResult`.
 
-        ``policy`` is a tier name (run the whole grid on that tier) or
-        ``"adaptive"``: scan on the coarse tier, refine the selected
-        region (see :func:`select_refinement`) on the accurate tier.
-        ``refine_margin`` defaults to the scan tier's trusted flatness
-        margin (:func:`repro.uarch.core.scan_margin`).
-
-        The whole run — both passes of an adaptive study — shares one
-        telemetry journal scope, so ``repro report`` sees a single run
-        with two batch records rather than two disjoint journals.
+        ``policy`` names the tier, one of
+        :data:`~repro.uarch.core.MODELS` — what the sweep, figure and
+        characterize functions call ``model=``.  The run shares one
+        telemetry journal scope.
         """
+        if policy not in MODELS:
+            raise ValueError(f"unknown policy {policy!r}; expected one of "
+                             f"{MODELS}")
         with telemetry.scope(f"study:{self.name}", policy=policy,
                              study=self.describe()):
-            return self._run(policy=policy, workers=workers, runner=runner,
-                             progress=progress, refine_margin=refine_margin,
-                             refine_pad=refine_pad)
-
-    def _run(self, policy, workers, runner, progress, refine_margin,
-             refine_pad):
-        if policy in MODELS:
             jobs = self.jobs(model=policy)
             stats_list = run_jobs(jobs, workers=workers, runner=runner,
                                   progress=progress)
@@ -463,99 +330,6 @@ class Study:
                 if isinstance(stats, JobFailure):
                     failures.append(stats)
                     continue
-                cells.append(
-                    StudyCell(job.workload, job.label, stats,
-                              metric_set(stats, job.describe()), job.model))
-            return StudyResult(self, policy, cells,
-                               jobs_run={policy: len(jobs)},
-                               failures=failures)
-        if policy != "adaptive":
-            raise ValueError(f"unknown policy {policy!r}; expected one of "
-                             f"{POLICIES}")
-        return self._run_adaptive(workers=workers, runner=runner,
-                                  progress=progress,
-                                  refine_margin=refine_margin,
-                                  refine_pad=refine_pad)
-
-    def _run_adaptive(self, workers=None, runner=None, progress=None,
-                      refine_margin=None, refine_pad=1):
-        target = "cycle"
-        points = self.points()
-        if len(points) == 1:
-            # One grid point per workload: there is no region to
-            # select, so a scan pass would be pure overhead — run the
-            # accurate tier directly.
-            single = self.run(policy=target, workers=workers,
-                              runner=runner, progress=progress)
-            return StudyResult(self, "adaptive", single.cells,
-                               jobs_run=single.jobs_run,
-                               failures=single.failures)
-        scan = scan_tier(target)
-        margin = (scan_margin(scan) if refine_margin is None
-                  else refine_margin)
-        higher = self.metric in _HIGHER_BETTER
-        # Knee windows assume index order is a real grid axis; a
-        # flattened multi-axis cross product has no such order, so it
-        # falls back to refining every near-best point.
-        mode = "knee" if len(self.axes) <= 1 else "near"
-
-        scan_jobs = self.jobs(model=scan)
-        scan_stats = run_jobs(scan_jobs, workers=workers, runner=runner,
-                              progress=progress)
-        n_points = len(points)
-
-        # Per-workload scan curves in grid order, then region selection.
-        # Quarantined scan cells carry no metric: region selection runs
-        # over the surviving points only (their grid indices mapped
-        # back), so one poisoned cell degrades its row, not the study.
-        refine_jobs = []
-        for wi, w in enumerate(self.workloads):
-            stats_row = scan_stats[wi * n_points:(wi + 1) * n_points]
-            ok = [(i, s) for i, s in enumerate(stats_row)
-                  if not isinstance(s, JobFailure)]
-            if not ok:
-                continue
-            values = [getattr(metric_set(s), self.metric) for _, s in ok]
-            picked = select_refinement(values, higher_better=higher,
-                                       margin=margin, pad=refine_pad,
-                                       mode=mode)
-            idxs = [ok[p][0] for p in picked]
-            refine_jobs.extend(
-                JobSpec(w, points[i][1], label=points[i][0],
-                        scale=self.scale, budget=self.budget, model=target)
-                for i in idxs
-            )
-
-        if progress is not None:
-            progress.add_total(len(refine_jobs))
-        refine_stats = run_jobs(refine_jobs, workers=workers, runner=runner,
-                                progress=progress)
-        failures = []
-        refined = {}
-        for job, stats in zip(refine_jobs, refine_stats):
-            if isinstance(stats, JobFailure):
-                # The scan cell for this point succeeded (it was
-                # selected from a real metric), so the cell degrades
-                # back to the scan tier instead of vanishing.
-                failures.append(stats)
-                continue
-            refined[(job.workload, job.label)] = stats
-
-        cells = []
-        for job, stats in zip(scan_jobs, scan_stats):
-            if isinstance(stats, JobFailure):
-                failures.append(stats)
-                continue
-            cell_key = (job.workload, job.label)
-            if cell_key in refined:
-                stats, tier = refined[cell_key], target
-                name = f"{job.workload}@{job.label}"
-            else:
-                tier = scan
-                name = job.describe()
-            cells.append(StudyCell(job.workload, job.label, stats,
-                                   metric_set(stats, name), tier))
-        return StudyResult(self, "adaptive", cells,
-                           jobs_run={scan: len(scan_jobs),
-                                     target: len(refine_jobs)},
-                           failures=failures)
+                cells.append(StudyCell(job.workload, job.label, stats,
+                                       metric_set(stats, job.describe())))
+            return StudyResult(self, policy, cells, failures=failures)

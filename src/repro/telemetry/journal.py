@@ -10,7 +10,7 @@ With ``REPRO_TELEMETRY_DIR`` set, every engine run (``run_jobs`` /
   tree (``spans``) recorded by whichever process executed it.
 * ``{"type": "batch", ...}`` — one line per ``run_jobs`` call: job
   counts, wall clock, worker count, prebuild time, and a store-counter
-  snapshot (an adaptive study writes two — scan and refine).
+  snapshot.
 * ``{"type": "summary", ...}`` — one trailer line: totals, span
   coverage of wall time, remote push-queue depth, and status
   (``"error"`` when the run raised).

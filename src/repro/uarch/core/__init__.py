@@ -18,8 +18,7 @@ Two tiers share one entry point:
 from __future__ import annotations
 
 from .cycle import CycleCore
-from .interval import (INTERVAL_SCAN_MARGIN, INTERVAL_VERSION,
-                       simulate_interval)
+from .interval import INTERVAL_VERSION, simulate_interval
 from .observers import HotspotSampler, Observer, TMASlotClassifier
 from .state import CoreState
 
@@ -29,11 +28,7 @@ __all__ = [
     "HotspotSampler",
     "MODELS",
     "Observer",
-    "TIER_LADDER",
     "TMASlotClassifier",
-    "refine_tier",
-    "scan_margin",
-    "scan_tier",
     "simulate",
     "simulate_interval",
 ]
@@ -44,30 +39,6 @@ MODELS = ("cycle", "interval")
 # golden-fixture bit-parity, so its keys never change; approximate
 # tiers version their keys so recalibration invalidates old caches.
 MODEL_VERSIONS = {"cycle": 0, "interval": INTERVAL_VERSION}
-
-# Fidelity ladder, coarse to accurate.  Adaptive execution scans one
-# rung below its target tier and refines back up; these hooks keep the
-# tier relationship (and each scan tier's trusted flatness margin) a
-# property of the simulator package, not of every call site.
-TIER_LADDER = ("interval", "cycle")
-_SCAN_MARGINS = {"interval": INTERVAL_SCAN_MARGIN}
-
-
-def scan_tier(model):
-    """The next-coarser tier to pre-scan with, or None at the bottom."""
-    i = TIER_LADDER.index(model)
-    return TIER_LADDER[i - 1] if i > 0 else None
-
-
-def refine_tier(model):
-    """The next-more-accurate tier to refine onto, or None at the top."""
-    i = TIER_LADDER.index(model)
-    return TIER_LADDER[i + 1] if i + 1 < len(TIER_LADDER) else None
-
-
-def scan_margin(model):
-    """Relative metric slack trusted when *model* ranks grid points."""
-    return _SCAN_MARGINS.get(model, 0.0)
 
 
 def simulate(trace, config, max_cycles=None, warm=True, model="cycle",

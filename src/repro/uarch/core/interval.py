@@ -36,8 +36,7 @@ from ...trace.ops import (
 from ..branch import PREDICTORS
 from ..stats import SimStats
 
-__all__ = ["INTERVAL_IPC_ENVELOPE", "INTERVAL_SCAN_MARGIN",
-           "INTERVAL_VERSION", "simulate_interval"]
+__all__ = ["INTERVAL_IPC_ENVELOPE", "INTERVAL_VERSION", "simulate_interval"]
 
 # Bump whenever the estimator or its calibration constants change:
 # the version is folded into interval-tier store keys, so cached
@@ -47,14 +46,6 @@ INTERVAL_VERSION = 2
 # Calibration envelope: measured worst-case relative IPC error of this
 # tier against the cycle simulator on the gem5 grid (warm and cold).
 INTERVAL_IPC_ENVELOPE = 0.15
-
-# Flatness threshold an adaptive scan uses on interval-tier results:
-# two grid points whose metric differs by less than this fraction are
-# treated as the same plateau when picking the refinement region.  Much
-# tighter than the absolute envelope because the tier's error is
-# strongly correlated across neighboring configs of one workload —
-# ranking survives even where absolute values drift.
-INTERVAL_SCAN_MARGIN = 0.02
 
 _LINE_SHIFT = 6
 _PAGE_SHIFT = 12

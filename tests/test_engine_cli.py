@@ -119,24 +119,6 @@ def test_cache_prune_subcommand(cache_dir, capsys):
     assert "evictions" in capsys.readouterr().out
 
 
-def test_sweep_adaptive_policy(cache_dir, capsys):
-    # Explicit --cache-dir: the default path would reuse the process-
-    # global runner, whose store was pinned by an earlier test's tmpdir.
-    rc = main(["--cache-dir", str(cache_dir),
-               "sweep", "l2", "--workloads", "ar", "--scale", "tiny",
-               "--budget", "4000", "--policy", "adaptive", "--quiet",
-               "--metric", "seconds"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "model=adaptive" in out
-    assert "cells cycle-refined" in out and "cycle jobs run" in out
-    # Mixed store: tier-suffixed interval keys next to plain cycle keys.
-    names = [f.name for f in cache_dir.iterdir() if f.suffix == ".json"
-             and f.name != "manifest.json"]
-    assert any("_interval-v" in n for n in names)
-    assert any("_interval-v" not in n for n in names)
-
-
 def test_study_subcommand(cache_dir, capsys):
     rc = main(["study", "l2_kb=256,512", "--workloads", "ar,co",
                "--scale", "tiny", "--budget", "4000", "--quiet"])
@@ -145,14 +127,14 @@ def test_study_subcommand(cache_dir, capsys):
     assert "l2_kb[2]" in out and "best seconds per workload" in out
     assert "ar" in out and "co" in out
 
-    # Multi-axis grid with an explicit metric and adaptive policy.
+    # Multi-axis grid with an explicit metric.
     rc = main(["study", "l2_kb=256,512", "freq_ghz=2,3",
                "--workloads", "ar", "--scale", "tiny", "--budget", "4000",
-               "--metric", "ipc", "--policy", "adaptive", "--quiet"])
+               "--metric", "ipc", "--quiet"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "l2_kb[2] x freq_ghz[2]" in out
-    assert "tier" in out
+    assert "model=cycle" in out
 
 
 def test_study_rejects_bad_axis(cache_dir, capsys):

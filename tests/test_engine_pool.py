@@ -107,7 +107,8 @@ def test_run_jobs_honors_explicit_store_on_serial_path(tmp_path):
     # result must land in the caller's store, not default_runner's.
     store = ResultStore(tmp_path / "mine")
     jobs = [JobSpec("ar", gem5_baseline(), label=3.0, **_FAST)]
-    stats = run_jobs(jobs, workers=4, store=store)
+    stats = run_jobs(jobs, workers=4,
+                     runner=Runner(cache_dir=store.root, store=store))
     assert stats[0].cycles > 0
     assert store.stats()["entries"] == 1
 
@@ -147,7 +148,8 @@ def test_capped_store_has_no_dangling_entries_after_parallel_run(tmp_path):
     store = ResultStore(tmp_path, max_bytes=2000)  # a few entries' worth
     cfgs = [(f, gem5_baseline(freq_ghz=f)) for f in (1.0, 2.0, 3.0)]
     jobs = expand_grid(_WORKLOADS, cfgs, **_FAST)
-    stats = run_jobs(jobs, workers=2, store=store)
+    stats = run_jobs(jobs, workers=2,
+                     runner=Runner(cache_dir=store.root, store=store))
     assert len(stats) == len(jobs)
     store.flush()
     with open(store.manifest_path) as fh:

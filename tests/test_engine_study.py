@@ -1,4 +1,4 @@
-"""Declarative studies: axes, plans, execution policies, golden parity.
+"""Declarative studies: axes, plans, the tier knob, golden parity.
 
 The golden fixture ``tests/golden/study_parity.json`` was captured at
 commit 6c4622c (PR 2 head), immediately *before* the Study refactor:
@@ -17,13 +17,11 @@ import pytest
 from repro.core import figures, sweeps
 from repro.core.characterize import characterize_vtune_suite
 from repro.core.runner import Runner
-from repro.engine import Progress
 from repro.engine.study import (
     Axis,
     Study,
     axis,
     parse_axis,
-    select_refinement,
 )
 from repro.engine.jobs import config_fingerprint
 from repro.uarch.config import CacheConfig, gem5_baseline
@@ -98,114 +96,24 @@ def test_study_from_jobs_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# Refinement selection
-# ----------------------------------------------------------------------
-def test_select_refinement_plateau_curve():
-    # Capacity curve: improves, then flat.  Window = knee +- 1; the far
-    # plateau is trusted to the scan tier.
-    assert select_refinement([12.2, 11.4, 11.4, 11.4]) == [0, 1, 2]
-    # Flat from the start: knee at 0.
-    assert select_refinement([5.0, 5.0, 5.0, 5.0]) == [0, 1]
-    # Still improving at the end.
-    assert select_refinement([30.0, 16.0, 11.0, 9.0]) == [2, 3]
-
-
-def test_select_refinement_non_monotone_includes_best():
-    # Categorical curve: near-best at index 0, true best at index 3 —
-    # both neighborhoods are selected.
-    vals = [10.0, 14.0, 15.0, 9.9]
-    assert select_refinement(vals, margin=0.02) == [0, 1, 2, 3]
-    assert select_refinement([10.0, 20.0, 30.0, 9.9, 25.0],
-                             margin=0.02) == [0, 1, 2, 3, 4]
-
-
-def test_select_refinement_higher_better():
-    assert select_refinement([1.0, 1.9, 1.9, 1.9],
-                             higher_better=True) == [0, 1, 2]
-
-
-# ----------------------------------------------------------------------
-# Execution policies
+# The tier knob
 # ----------------------------------------------------------------------
 def test_interval_policy_equals_interval_model():
+    # Study.run(policy=) and the sweeps' model= name the same tier.
     r = _no_cache_runner()
-    via_policy = sweeps.l2_sweep(workloads=("ar",), runner=r,
-                                 policy="interval", **_FAST)
+    study = sweeps.study_for("l2", workloads=("ar",), **_FAST)
+    via_policy = study.run(policy="interval", runner=r).table()
     via_model = sweeps.l2_sweep(workloads=("ar",), runner=r,
                                 model="interval", **_FAST)
     assert {k: m.as_dict() for k, m in via_policy["ar"].items()} == \
         {k: m.as_dict() for k, m in via_model["ar"].items()}
 
 
-def test_unknown_policy_rejected():
+@pytest.mark.parametrize("policy", ["psychic", "adaptive"])
+def test_unknown_policy_rejected(policy):
     study = sweeps.study_for("l2", workloads=("ar",), **_FAST)
     with pytest.raises(ValueError, match="unknown policy"):
-        study.run(policy="psychic")
-
-
-def test_adaptive_merges_tiers_and_refines_fewer_cells(tmp_path):
-    runner = Runner(cache_dir=str(tmp_path))
-    result = sweeps.l2_sweep(workloads=("ar", "co"), runner=runner,
-                             policy="adaptive", full_result=True, **_FAST)
-    grid = len(result.cells)
-    assert grid == 8
-    counts = result.tier_counts()
-    # Strictly fewer cycle jobs than the full grid, and the scan
-    # covered everything.
-    assert 0 < counts["cycle"] < grid
-    assert counts["cycle"] + counts.get("interval", 0) == grid
-    assert result.jobs_run["interval"] == grid
-    assert result.jobs_run["cycle"] == counts["cycle"]
-
-    # Every cycle-refined cell matches the all-cycle sweep exactly.
-    full = sweeps.l2_sweep(workloads=("ar", "co"), runner=runner,
-                           full_result=True, **_FAST)
-    full_table = full.table()
-    tiers = result.tiers()
-    for cell in result.cells:
-        if cell.tier == "cycle":
-            assert cell.metrics.as_dict() == \
-                full_table[cell.workload][cell.label].as_dict()
-    # The merged table records a tier for every cell.
-    assert set(tiers.values()) <= {"cycle", "interval"}
-
-    # Tier-aware store keys: interval entries carry the tier suffix.
-    keys = runner.store.keys()
-    assert any("_interval-v" in k for k in keys)
-    assert any("_interval-v" not in k for k in keys)
-
-
-def test_adaptive_progress_totals_extend(tmp_path):
-    class Quiet(Progress):
-        def __init__(self):
-            super().__init__(0, enabled=False)
-
-    progress = Quiet()
-    result = sweeps.l2_sweep(workloads=("ar",), policy="adaptive",
-                             runner=Runner(cache_dir=str(tmp_path)),
-                             progress=progress, full_result=True, **_FAST)
-    expected = len(result.cells) + result.jobs_run["cycle"]
-    assert progress.total == expected
-    assert progress.done == expected
-
-
-def test_adaptive_matches_all_cycle_conclusions_on_gem5_l2():
-    """Acceptance: ``l2 --policy adaptive`` lands on the same
-    argmin/knee per workload as the all-cycle sweep while running
-    strictly fewer cycle-tier jobs than the 24-point grid.
-
-    Runs at the default scale through the committed
-    ``benchmarks/_results`` cache (both tiers of the full l2 grid are
-    committed warm, so this is a lookup, not a simulation, in CI).
-    """
-    runner = Runner()  # repo cache
-    adaptive = sweeps.l2_sweep(policy="adaptive", runner=runner,
-                               full_result=True)
-    full = sweeps.l2_sweep(runner=runner, full_result=True)
-    grid = len(full.cells)
-    assert adaptive.jobs_run["cycle"] < grid
-    assert adaptive.best() == full.best()
-    assert adaptive.knee() == full.knee()
+        study.run(policy=policy)
 
 
 # ----------------------------------------------------------------------
@@ -259,42 +167,6 @@ def test_figure_golden_parity_default_scale(name, fn):
     assert got == _fixture()[name + "_default"]
 
 
-def test_adaptive_single_point_study_skips_scan(tmp_path):
-    # One grid point per workload: nothing to select, so adaptive must
-    # not pay for an interval scan whose results it would discard.
-    study = Study("one", workloads=("ar", "co"), base=gem5_baseline(),
-                  **_FAST)
-    result = study.run(policy="adaptive",
-                       runner=Runner(cache_dir=str(tmp_path)))
-    assert result.policy == "adaptive"
-    assert result.jobs_run == {"cycle": 2}
-    assert result.tier_counts() == {"cycle": 2}
-
-
-def test_sweep_metric_threads_into_adaptive_selection(tmp_path):
-    study = sweeps.study_for("l2", metric="ipc")
-    assert study.metric == "ipc"
-    result = sweeps.l2_sweep(workloads=("ar",), metric="ipc",
-                             policy="adaptive", full_result=True,
-                             runner=Runner(cache_dir=str(tmp_path)),
-                             **_FAST)
-    # best() defaults to the study's metric: the ipc-best cell must be
-    # a cycle-refined one.
-    best = result.best()["ar"]
-    assert result.tiers()[("ar", best)] == "cycle"
-
-
-def test_tier_ladder_hooks_are_symmetric():
-    from repro.uarch.core import TIER_LADDER, refine_tier, scan_tier
-
-    assert TIER_LADDER == ("interval", "cycle")
-    assert scan_tier("cycle") == "interval"
-    assert refine_tier("interval") == "cycle"
-    assert scan_tier("interval") is None      # nothing coarser
-    assert refine_tier("cycle") is None       # nothing more accurate
-    assert refine_tier(scan_tier("cycle")) == "cycle"
-
-
 def test_empty_sweep_grid_is_an_error_not_the_default_grid():
     # Regression guard for `values or default`: an explicitly empty
     # grid must fail loudly, never silently run the full default sweep.
@@ -302,29 +174,30 @@ def test_empty_sweep_grid_is_an_error_not_the_default_grid():
         sweeps.l2_sweep(workloads=("ar",), sizes_kb=(), **_FAST)
 
 
-def test_result_refined_lists_cycle_cells(tmp_path):
-    result = sweeps.l2_sweep(workloads=("ar",), policy="adaptive",
+def test_sweep_metric_threads_into_best(tmp_path):
+    study = sweeps.study_for("l2", metric="ipc")
+    assert study.metric == "ipc"
+    result = sweeps.l2_sweep(workloads=("ar",), metric="ipc",
+                             full_result=True,
                              runner=Runner(cache_dir=str(tmp_path)),
-                             full_result=True, **_FAST)
-    refined = result.refined()["ar"]
-    tiers = result.tiers()
-    assert refined == [c.label for c in result.cells
-                       if tiers[("ar", c.label)] == "cycle"]
-    assert 0 < len(refined) < len(result.cells)
+                             **_FAST)
+    # best() defaults to the study's metric and ranks every cell.
+    by_size = result.table()["ar"]
+    assert result.best()["ar"] == max(by_size,
+                                      key=lambda kb: by_size[kb].ipc)
+    assert result.best("seconds")["ar"] == min(
+        by_size, key=lambda kb: by_size[kb].seconds)
 
 
-def test_run_characterizations_policy_tolerates_repeated_workloads(tmp_path):
+def test_run_characterizations_tolerates_repeated_workloads(tmp_path):
     from repro.core.characterize import (characterize_jobs,
                                          run_characterizations)
 
     jobs = characterize_jobs(["ar", "co", "ar"], **_FAST)
-    runner = Runner(cache_dir=str(tmp_path))
-    with_policy = run_characterizations(jobs, runner=runner,
-                                        policy="cycle")
-    plain = run_characterizations(jobs, runner=runner)
-    assert [c.workload for c in with_policy] == ["ar", "co", "ar"]
-    assert [c.metrics.as_dict() for c in with_policy] == \
-        [c.metrics.as_dict() for c in plain]
+    chars = run_characterizations(jobs,
+                                  runner=Runner(cache_dir=str(tmp_path)))
+    assert [c.workload for c in chars] == ["ar", "co", "ar"]
+    assert chars[0].metrics.as_dict() == chars[2].metrics.as_dict()
 
 
 def test_sweep_function_grids_come_from_sweep_axes():
@@ -333,44 +206,3 @@ def test_sweep_function_grids_come_from_sweep_axes():
     for name in sweeps.SWEEP_AXES:
         study = sweeps.study_for(name, workloads=("ar",))
         assert len(study.points()) == len(sweeps.SWEEP_AXES[name][1])
-
-
-def test_adaptive_figures_tag_mixed_tier_rows(tmp_path):
-    runner = Runner(cache_dir=str(tmp_path))
-    rows = figures.fig8_frequency(runner=runner, policy="adaptive")
-    # At the default scale the frequency curve has a real region to
-    # refine, so the table mixes tiers and every row must say which.
-    assert all("tier" in r for r in rows)
-    tags = {r["tier"] for r in rows}
-    assert len(tags) > 1 and tags <= {"cycle", "interval", "mixed"}
-    # speedup_vs_1ghz rows whose cell tier differs from the 1 GHz
-    # baseline cell's tier must be called out as mixed, not cycle.
-    for r in rows:
-        if r["tier"] == "cycle":
-            base = next(b for b in rows if b["workload"] == r["workload"]
-                        and b["freq_ghz"] == 1.0)
-            assert base["tier"] in ("cycle", "mixed")
-    # Cycle-policy rows keep the pre-study schema (no tier key).
-    plain = figures.fig8_frequency(runner=Runner())
-    assert all("tier" not in r for r in plain)
-
-
-def test_select_refinement_near_mode():
-    # Flattened multi-axis grids: no windows, just every near-best
-    # point (indices are not neighbors there).
-    assert select_refinement([12.2, 11.4, 11.4, 11.4],
-                             mode="near") == [1, 2, 3]
-    assert select_refinement([30.0, 16.0, 11.0, 9.0], mode="near") == [3]
-
-
-def test_multi_axis_adaptive_uses_near_selection(tmp_path):
-    study = Study("s", axes=[axis("l2_kb", (256, 512)),
-                             axis("freq_ghz", (2, 3))],
-                  workloads=("ar",), **_FAST)
-    result = study.run(policy="adaptive",
-                       runner=Runner(cache_dir=str(tmp_path)))
-    # Every refined cell must itself be near-best on the scan curve —
-    # no knee-window spillover across axis-row boundaries.
-    assert 0 < result.jobs_run["cycle"] <= len(result.cells)
-    best = result.best()["ar"]
-    assert result.tiers()[("ar", best)] == "cycle"

@@ -260,7 +260,8 @@ class TestSupervisedPool:
         monkeypatch.setattr("repro.engine.pool._mp_context", _Ctx)
         remote = _FakeRemote()
         store = ResultStore(tmp_path / "fallback", remote=remote)
-        stats = run_jobs(jobs, workers=2, store=store)
+        stats = run_jobs(jobs, workers=2,
+                         runner=Runner(cache_dir=store.root, store=store))
         assert [st.as_dict() for st in stats] == \
             [st.as_dict() for st in serial]
         assert len(refused) == 1  # the first start fell back for all
